@@ -72,19 +72,6 @@ parseProtocol(const std::string &s, Protocol &out)
     return false;
 }
 
-bool
-parsePredictorKind(const std::string &s, PredictorKind &out)
-{
-    for (PredictorKind k :
-         {PredictorKind::Region, PredictorKind::Perceptron}) {
-        if (s == predictorKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::vector<std::string>
 splitList(const std::string &s)
 {
@@ -119,8 +106,6 @@ cliUsage()
         "variant (default mesi)\n"
         "  --store-buffer=N       snoopy store write buffer depth "
         "(default 0 = off)\n"
-        "  --predictor=NAME       region|perceptron DRAM-cache "
-        "admission predictor (default region)\n"
         "  --workload=NAME        paper profile name (default "
         "facesim)\n"
         "  --warmup=N --measure=N references per core\n"
@@ -161,11 +146,6 @@ parseCli(const std::vector<std::string> &args)
         } else if (key == "protocol") {
             if (!parseProtocol(value, raw.protocol)) {
                 opt.error = "unknown protocol '" + value + "'";
-                return opt;
-            }
-        } else if (key == "predictor") {
-            if (!parsePredictorKind(value, raw.predictorKind)) {
-                opt.error = "unknown predictor '" + value + "'";
                 return opt;
             }
         } else if (key == "store-buffer") {

@@ -10,7 +10,6 @@
  *   --scale=N                 (capacities /N; pair with workload scale)
  *   --mapping=INT|FT1|FT2
  *   --protocol=mesi|mesif|moesi|dragon --store-buffer=N
- *   --predictor=region|perceptron
  *   --workload=<profile name> --warmup=N --measure=N
  *   --dram-cache-ns=N --hop-ns=N --mem-ns=N
  *   --no-dram-cache --tlb-classification
@@ -71,9 +70,6 @@ bool parseMapping(const std::string &s, MappingPolicy &out);
 
 /** Map a protocol name (protocolName() spelling) back to the enum. */
 bool parseProtocol(const std::string &s, Protocol &out);
-
-/** Map a predictor name (predictorKindName() spelling) back. */
-bool parsePredictorKind(const std::string &s, PredictorKind &out);
 
 /** Convenience overload for main(argc, argv). */
 CliOptions parseCli(int argc, char **argv);

@@ -51,16 +51,4 @@ protocolName(Protocol p)
     return "?";
 }
 
-const char *
-predictorKindName(PredictorKind k)
-{
-    switch (k) {
-      case PredictorKind::Region:
-        return "region";
-      case PredictorKind::Perceptron:
-        return "perceptron";
-    }
-    return "?";
-}
-
 } // namespace c3d

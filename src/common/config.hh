@@ -54,22 +54,9 @@ enum class Protocol
     Dragon, //!< update-based: writes update remote copies in place
 };
 
-/**
- * Which DRAM-cache predictor the socket caches run (docs/predictors.md).
- * Every kind keeps the presence contract -- a present block is never
- * reported absent -- so it is safe for dirty designs; the kinds differ
- * only in how insertions are admitted.
- */
-enum class PredictorKind
-{
-    Region,     //!< counting region filter; every fill admitted
-    Perceptron, //!< hashed-perceptron cache/bypass gate + ghost buffer
-};
-
 const char *designName(Design d);
 const char *mappingPolicyName(MappingPolicy p);
 const char *protocolName(Protocol p);
-const char *predictorKindName(PredictorKind k);
 
 /** Inter-socket interconnect topology. */
 enum class Topology
@@ -115,26 +102,6 @@ struct SystemConfig
     std::uint32_t missPredictorEntries = 4096;
     Tick missPredictorLatency = 2;
     std::uint32_t missPredictorRegionBytes = 4096;
-
-    // ---- DRAM-cache admission predictor (docs/predictors.md) ----------
-    /** Which admission predictor gates insertions. Region keeps the
-     * paper behavior: every LLC victim is cached. */
-    PredictorKind predictorKind = PredictorKind::Region;
-    /** Per-feature perceptron weight-table entries (power of two). */
-    std::uint32_t perceptronTableEntries = 256;
-    /** Saturation bound: weights live in [-max-1, max] (6-bit). */
-    std::int32_t perceptronWeightMax = 31;
-    /** Admission rule: sum of feature weights >= threshold -> cache. */
-    std::int32_t perceptronThreshold = 0;
-    /** Train on correct predictions while |sum| <= margin, so weights
-     * keep a confidence buffer instead of oscillating around the
-     * threshold. */
-    std::int32_t perceptronTrainMargin = 8;
-    /** Ghost-buffer Bloom filter size in bits (power of two). */
-    std::uint32_t ghostBufferBits = 8192;
-    /** Evictions recorded before the ghost buffer self-clears (keeps
-     * the filter's false-positive rate bounded; deterministic). */
-    std::uint32_t ghostBufferResetEvictions = 4096;
 
     // ---- main memory (Table II: 50 ns, DDR3-1600, 2 ch) ---------------
     Tick memLatency = nsToTicks(50);

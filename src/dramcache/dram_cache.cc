@@ -17,8 +17,9 @@ DramCache::DramCache(EventQueue &eq, const SystemConfig &cfg,
     const std::string prefix =
         "socket" + std::to_string(socket) + ".dram_cache";
 
-    predictor = makePresencePredictor(cfg);
-    predictor->configure(cfg, stats, prefix + ".predictor");
+    predictor.init(cfg.missPredictorEntries,
+                   cfg.missPredictorRegionBytes, stats,
+                   prefix + ".predictor");
 
     channels.resize(cfg.dramCacheChannels);
     const Bandwidth bw = Bandwidth::fromGBps(cfg.dramCacheChannelGBps);
@@ -106,10 +107,10 @@ DramCache::predictPresent(Addr addr)
         // MissMap mode: exact block-grain presence, never wrong in
         // either direction.
         const bool present = tags.find(addr) != nullptr;
-        predictor->recordExactQuery(present);
+        predictor.recordExactQuery(present);
         return present;
     }
-    return predictor->mayBePresent(addr);
+    return predictor.mayBePresent(addr);
 }
 
 void
@@ -124,7 +125,6 @@ DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
         // so this path cannot hide data.
         ++misses;
         countTenant(tenant, false);
-        predictor->trainOnProbe(addr, tenant, false);
         DramCacheProbe res;
         res.readyAt = now + predictorLatency;
         eventq.scheduleAt(res.readyAt, [done, res] { done(res); });
@@ -148,12 +148,8 @@ DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
         ++misses;
         countTenant(tenant, false);
         if (predictorEnabled && !exactPredictor)
-            predictor->recordFalsePresent();
+            predictor.recordFalsePresent();
     }
-    // Demand probes are the admission gate's training stream; remote
-    // snoops (always_access) say nothing about local reuse.
-    if (!always_access)
-        predictor->trainOnProbe(addr, tenant, e != nullptr);
     res.readyAt = ready;
     eventq.scheduleAt(ready, [done, res] { done(res); });
 }
@@ -163,16 +159,6 @@ DramCache::insert(Addr addr, bool dirty, std::uint32_t tenant)
 {
     c3d_assert(!dirty || allowDirty,
                "dirty insert into a clean DRAM cache");
-
-    DramCacheVictim victim;
-    const bool was_present = tags.find(addr) != nullptr;
-    // Admission gate (docs/predictors.md): a clean fill the predictor
-    // rejects never touches DRAM -- no channel traffic, no victim.
-    // Dirty victims are always admitted (the dirty designs rely on
-    // the cache to hold modified data), and a block already resident
-    // is an in-place update, not an admission decision.
-    if (!was_present && !dirty && !predictor->admit(addr, tenant))
-        return victim;
     ++inserts;
 
     // The fill write occupies a channel but nobody waits for it.
@@ -181,6 +167,8 @@ DramCache::insert(Addr addr, bool dirty, std::uint32_t tenant)
     const CacheState new_state =
         dirty ? CacheState::Modified : CacheState::Shared;
 
+    DramCacheVictim victim;
+    const bool was_present = tags.find(addr) != nullptr;
     AllocResult ar = tags.allocate(addr, new_state);
     if (ar.evictedValid) {
         victim.valid = true;
@@ -190,11 +178,11 @@ DramCache::insert(Addr addr, bool dirty, std::uint32_t tenant)
             ++evictionsDirty;
         else
             ++evictionsClean;
-        predictor->onRemove(victim.addr);
+        predictor.onRemove(victim.addr);
         dropOwnerAux(ar.victimAux);
     }
     if (!was_present)
-        predictor->onInsert(addr);
+        predictor.onInsert(addr);
     // After allocate: a fresh slot starts unowned (aux zeroed), a
     // reused slot keeps its owner unless the insert names one.
     setOwner(ar.entry, tenant);
@@ -222,10 +210,10 @@ DramCache::invalidate(Addr addr, std::function<void(bool, bool)> done)
         dirty = e->state == CacheState::Modified;
         dropOwnerAux(e->aux);
         tags.invalidate(addr);
-        predictor->onRemove(addr);
+        predictor.onRemove(addr);
         ++invalidations;
     } else if (predictorEnabled && !exactPredictor) {
-        predictor->recordFalsePresent();
+        predictor.recordFalsePresent();
     }
     // §III-A: invalidating a (possibly) present block requires the
     // DRAM access -- to check dirtiness and clear the tag.
@@ -238,21 +226,15 @@ DramCacheVictim
 DramCache::updateClean(Addr addr, std::uint32_t tenant)
 {
     DramCacheVictim victim;
+    chargeChannel(addr, eventq.now() + accessLatency);
 
     if (TagEntry *e = tags.find(addr)) {
-        chargeChannel(addr, eventq.now() + accessLatency);
         ++writeUpdates;
         e->state = CacheState::Shared;
         setOwner(e, tenant);
         tags.touch(e);
         return victim;
     }
-
-    // The insert-if-absent branch is a clean fill like any other and
-    // passes through the same admission gate.
-    if (!predictor->admit(addr, tenant))
-        return victim;
-    chargeChannel(addr, eventq.now() + accessLatency);
 
     ++inserts;
     AllocResult ar = tags.allocate(addr, CacheState::Shared);
@@ -264,10 +246,10 @@ DramCache::updateClean(Addr addr, std::uint32_t tenant)
             ++evictionsDirty;
         else
             ++evictionsClean;
-        predictor->onRemove(victim.addr);
+        predictor.onRemove(victim.addr);
         dropOwnerAux(ar.victimAux);
     }
-    predictor->onInsert(addr);
+    predictor.onInsert(addr);
     setOwner(ar.entry, tenant);
     return victim;
 }

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,7 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "dramcache/presence_predictor.hh"
+#include "dramcache/miss_predictor.hh"
 #include "interconnect/channel.hh"
 #include "sim/event_queue.hh"
 
@@ -130,24 +129,6 @@ class DramCache
     std::uint64_t hitCount() const { return hits.value(); }
     std::uint64_t missCount() const { return misses.value(); }
 
-    // ---- predictor accuracy (docs/predictors.md) -----------------------
-    std::uint64_t predictorTrains() const
-    {
-        return predictor->trainEvents();
-    }
-    std::uint64_t predictorBypasses() const
-    {
-        return predictor->bypassEvents();
-    }
-    std::uint64_t predictorGhostHits() const
-    {
-        return predictor->ghostHits();
-    }
-    std::uint64_t predictorFalsePresents() const
-    {
-        return predictor->falsePresents();
-    }
-
     // ---- per-tenant attribution (enableTenantTracking) -----------------
     bool tenantTrackingEnabled() const { return !tenantBlocks.empty(); }
     /** Blocks currently owned by tenant @p t (live gauge; unlike the
@@ -188,7 +169,7 @@ class DramCache
 
     EventQueue &eventq;
     TagArray tags;
-    std::unique_ptr<PresencePredictor> predictor;
+    MissPredictor predictor;
     const bool predictorEnabled;
     const bool exactPredictor;
     const Tick predictorLatency;

@@ -23,18 +23,12 @@
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "dramcache/presence_predictor.hh"
 
 namespace c3d
 {
 
-/**
- * Counting presence filter over memory regions. Admission is
- * unconditional (every LLC victim is cached), which is the paper's
- * fill policy; the perceptron predictor derives from this class to
- * reuse the presence machinery and overrides only the admission side.
- */
-class MissPredictor : public PresencePredictor
+/** Counting presence filter over memory regions. */
+class MissPredictor
 {
   public:
     void
@@ -53,17 +47,9 @@ class MissPredictor : public PresencePredictor
                           "present predictions that probed and missed");
     }
 
-    void
-    configure(const SystemConfig &cfg, StatGroup *stats,
-              const std::string &name) override
-    {
-        init(cfg.missPredictorEntries, cfg.missPredictorRegionBytes,
-             stats, name);
-    }
-
     /** Predict whether the block at @p addr may be cached. */
     bool
-    mayBePresent(Addr addr) override
+    mayBePresent(Addr addr)
     {
         ++queries;
         const bool present = counters[slot(addr)] > 0;
@@ -73,11 +59,11 @@ class MissPredictor : public PresencePredictor
     }
 
     /** Record that a probe made on a "present" prediction missed. */
-    void recordFalsePresent() override { ++falsePresent; }
+    void recordFalsePresent() { ++falsePresent; }
 
     /** Account a query answered exactly (MissMap mode). */
     void
-    recordExactQuery(bool present) override
+    recordExactQuery(bool present)
     {
         ++queries;
         if (!present)
@@ -85,36 +71,23 @@ class MissPredictor : public PresencePredictor
     }
 
     /** A block in this region was inserted into the DRAM cache. */
-    void onInsert(Addr addr) override { ++counters[slot(addr)]; }
+    void onInsert(Addr addr) { ++counters[slot(addr)]; }
 
     /** A block in this region left the DRAM cache. */
     void
-    onRemove(Addr addr) override
+    onRemove(Addr addr)
     {
         auto &c = counters[slot(addr)];
         c3d_assert(c > 0, "predictor counter underflow");
         --c;
     }
 
-    /** The paper's fill policy: every LLC victim is cached. */
-    bool admit(Addr, std::uint32_t) override { return true; }
-    void trainOnProbe(Addr, std::uint32_t, bool) override {}
-
-    std::uint64_t trainEvents() const override { return 0; }
-    std::uint64_t bypassEvents() const override { return 0; }
-    std::uint64_t ghostHits() const override { return 0; }
-    std::uint64_t
-    falsePresents() const override
-    {
-        return falsePresent.value();
-    }
-
-    std::uint64_t absentPredictions() const override
+    std::uint64_t absentPredictions() const
     {
         return predictedAbsent.value();
     }
 
-  protected:
+  private:
     std::uint32_t
     slot(Addr addr) const
     {

@@ -15,7 +15,7 @@ namespace
 
 /** Serialized columns, in order. Keep in sync with docs/sweeps.md. */
 const char *const StringCols[] = {"workload", "variant", "design",
-                                  "protocol", "predictor", "mapping"};
+                                  "protocol", "mapping"};
 const char *const IntCols[] = {
     "sockets",          "cores_per_socket",  "scale",
     "dram_cache_mb",    "warmup_ops",        "measure_ops",
@@ -23,14 +23,13 @@ const char *const IntCols[] = {
     "mem_reads",        "mem_writes",        "remote_mem_reads",
     "remote_mem_writes", "dram_cache_hits",  "dram_cache_misses",
     "llc_misses",       "inter_socket_bytes", "broadcasts",
-    "broadcasts_elided", "predictor_trains", "predictor_bypasses",
-    "predictor_ghost_hits", "predictor_false_present"};
+    "broadcasts_elided"};
 
 std::string *
 stringField(ResultRow &r, std::size_t i)
 {
     std::string *fields[] = {&r.workload, &r.variant, &r.design,
-                             &r.protocol, &r.predictor, &r.mapping};
+                             &r.protocol, &r.mapping};
     return fields[i];
 }
 
@@ -62,11 +61,7 @@ intFieldValue(const ResultRow &r, std::size_t i)
         r.metrics.llcMisses,
         r.metrics.interSocketBytes,
         r.metrics.broadcasts,
-        r.metrics.broadcastsElided,
-        r.metrics.predictorTrains,
-        r.metrics.predictorBypasses,
-        r.metrics.predictorGhostHits,
-        r.metrics.predictorFalsePresent};
+        r.metrics.broadcastsElided};
     return values[i];
 }
 
@@ -93,10 +88,6 @@ setIntField(ResultRow &r, std::size_t i, std::uint64_t v)
       case 16: r.metrics.interSocketBytes = v; break;
       case 17: r.metrics.broadcasts = v; break;
       case 18: r.metrics.broadcastsElided = v; break;
-      case 19: r.metrics.predictorTrains = v; break;
-      case 20: r.metrics.predictorBypasses = v; break;
-      case 21: r.metrics.predictorGhostHits = v; break;
-      case 22: r.metrics.predictorFalsePresent = v; break;
       default: break;
     }
 }
@@ -358,8 +349,7 @@ ResultRow::sameAs(const ResultRow &o) const
 std::string
 identityKeyOf(const std::string &workload, const std::string &variant,
               const std::string &design, const std::string &protocol,
-              const std::string &predictor, const std::string &mapping,
-              std::uint32_t sockets,
+              const std::string &mapping, std::uint32_t sockets,
               std::uint32_t cores_per_socket, std::uint32_t scale,
               std::uint64_t dram_cache_mb, std::uint64_t warmup_ops,
               std::uint64_t measure_ops, std::uint64_t seed)
@@ -371,16 +361,15 @@ identityKeyOf(const std::string &workload, const std::string &variant,
                   sockets, cores_per_socket, scale, dram_cache_mb,
                   warmup_ops, measure_ops, seed);
     return workload + '|' + variant + '|' + design + '|' + protocol +
-        '|' + predictor + '|' + mapping + nums;
+        '|' + mapping + nums;
 }
 
 std::string
 ResultRow::identityKey() const
 {
-    return identityKeyOf(workload, variant, design, protocol,
-                         predictor, mapping, sockets, coresPerSocket,
-                         scale, dramCacheMb, warmupOps, measureOps,
-                         seed);
+    return identityKeyOf(workload, variant, design, protocol, mapping,
+                         sockets, coresPerSocket, scale, dramCacheMb,
+                         warmupOps, measureOps, seed);
 }
 
 void
@@ -394,8 +383,7 @@ const ResultRow *
 ResultTable::find(std::size_t workload_idx, std::size_t variant_idx,
                   std::size_t design_idx, std::size_t socket_idx,
                   std::size_t dram_idx, std::size_t mapping_idx,
-                  std::size_t protocol_idx,
-                  std::size_t predictor_idx) const
+                  std::size_t protocol_idx) const
 {
     for (const ResultRow &r : tableRows) {
         if (workload_idx != SIZE_MAX && r.workloadIdx != workload_idx)
@@ -411,9 +399,6 @@ ResultTable::find(std::size_t workload_idx, std::size_t variant_idx,
         if (mapping_idx != SIZE_MAX && r.mappingIdx != mapping_idx)
             continue;
         if (protocol_idx != SIZE_MAX && r.protocolIdx != protocol_idx)
-            continue;
-        if (predictor_idx != SIZE_MAX &&
-            r.predictorIdx != predictor_idx)
             continue;
         return &r;
     }
@@ -435,7 +420,7 @@ ResultTable::sameRows(const ResultTable &other) const
 const char *
 ResultTable::schemaName()
 {
-    return "c3d-sweep/v3";
+    return "c3d-sweep/v2";
 }
 
 std::string

@@ -36,7 +36,6 @@ std::string identityKeyOf(const std::string &workload,
                           const std::string &variant,
                           const std::string &design,
                           const std::string &protocol,
-                          const std::string &predictor,
                           const std::string &mapping,
                           std::uint32_t sockets,
                           std::uint32_t cores_per_socket,
@@ -53,8 +52,7 @@ struct ResultRow
     std::string workload;
     std::string variant; //!< empty when the grid had no variants
     std::string design;
-    std::string protocol;  //!< snoopy-family protocol variant
-    std::string predictor; //!< DRAM-cache predictor kind
+    std::string protocol; //!< snoopy-family protocol variant
     std::string mapping;
     std::uint32_t sockets = 0;
     std::uint32_t coresPerSocket = 0;
@@ -69,7 +67,6 @@ struct ResultRow
     std::size_t variantIdx = 0;
     std::size_t designIdx = 0;
     std::size_t protocolIdx = 0;
-    std::size_t predictorIdx = 0;
     std::size_t socketIdx = 0;
     std::size_t dramIdx = 0;
     std::size_t mappingIdx = 0;
@@ -115,8 +112,7 @@ class ResultTable
                           std::size_t socket_idx = SIZE_MAX,
                           std::size_t dram_idx = SIZE_MAX,
                           std::size_t mapping_idx = SIZE_MAX,
-                          std::size_t protocol_idx = SIZE_MAX,
-                          std::size_t predictor_idx = SIZE_MAX) const;
+                          std::size_t protocol_idx = SIZE_MAX) const;
 
     /** Row-by-row sameAs comparison. */
     bool sameRows(const ResultTable &other) const;

@@ -51,7 +51,6 @@ SweepEngine::makeRow(const RunSpec &spec, const RunResult &metrics)
     row.variant = spec.variantName;
     row.design = designName(spec.cfg.design);
     row.protocol = protocolName(spec.cfg.protocol);
-    row.predictor = predictorKindName(spec.cfg.predictorKind);
     row.mapping = mappingPolicyName(spec.cfg.mapping);
     row.sockets = spec.cfg.numSockets;
     row.coresPerSocket = spec.cfg.coresPerSocket;
@@ -64,7 +63,6 @@ SweepEngine::makeRow(const RunSpec &spec, const RunResult &metrics)
     row.variantIdx = spec.variantIdx;
     row.designIdx = spec.designIdx;
     row.protocolIdx = spec.protocolIdx;
-    row.predictorIdx = spec.predictorIdx;
     row.socketIdx = spec.socketIdx;
     row.dramIdx = spec.dramIdx;
     row.mappingIdx = spec.mappingIdx;
@@ -102,7 +100,6 @@ SweepEngine::run(const SweepGrid &grid, const RunFn &fn) const
             rows[i].variantIdx = specs[i].variantIdx;
             rows[i].designIdx = specs[i].designIdx;
             rows[i].protocolIdx = specs[i].protocolIdx;
-            rows[i].predictorIdx = specs[i].predictorIdx;
             rows[i].socketIdx = specs[i].socketIdx;
             rows[i].dramIdx = specs[i].dramIdx;
             rows[i].mappingIdx = specs[i].mappingIdx;

@@ -15,7 +15,6 @@ specIdentityKey(const RunSpec &spec)
     return identityKeyOf(spec.profile.name, spec.variantName,
                          designName(spec.cfg.design),
                          protocolName(spec.cfg.protocol),
-                         predictorKindName(spec.cfg.predictorKind),
                          mappingPolicyName(spec.cfg.mapping),
                          spec.cfg.numSockets,
                          spec.cfg.coresPerSocket, spec.scale,
@@ -91,8 +90,8 @@ SweepGrid::size() const
     const std::size_t variant_count =
         variants.empty() ? 1 : variants.size();
     return workloads.size() * variant_count * designs.size() *
-        protocols.size() * predictors.size() * sockets.size() *
-        dramCacheMb.size() * mappings.size();
+        protocols.size() * sockets.size() * dramCacheMb.size() *
+        mappings.size();
 }
 
 std::vector<RunSpec>
@@ -112,7 +111,6 @@ SweepGrid::expand() const
         for (std::size_t v = 0; v < vars.size(); ++v) {
             for (std::size_t d = 0; d < designs.size(); ++d) {
               for (std::size_t pr = 0; pr < protocols.size(); ++pr) {
-               for (std::size_t pd = 0; pd < predictors.size(); ++pd) {
                 for (std::size_t s = 0; s < sockets.size(); ++s) {
                     for (std::size_t m = 0; m < dramCacheMb.size();
                          ++m) {
@@ -124,7 +122,6 @@ SweepGrid::expand() const
                             spec.variantIdx = v;
                             spec.designIdx = d;
                             spec.protocolIdx = pr;
-                            spec.predictorIdx = pd;
                             spec.socketIdx = s;
                             spec.dramIdx = m;
                             spec.mappingIdx = p;
@@ -143,7 +140,6 @@ SweepGrid::expand() const
                                 : paperCoresPerSocket(sockets[s]);
                             raw.design = designs[d];
                             raw.protocol = protocols[pr];
-                            raw.predictorKind = predictors[pd];
                             raw.mapping = mappings[p];
                             if (dramCacheMb[m])
                                 raw.dramCacheBytes =
@@ -155,7 +151,6 @@ SweepGrid::expand() const
                         }
                     }
                 }
-               }
               }
             }
         }

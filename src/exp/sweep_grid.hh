@@ -4,8 +4,8 @@
  *
  * A SweepGrid names the axes a study varies -- workload profile,
  * config variant (arbitrary SystemConfig patch), coherence design,
- * snoopy protocol variant, DRAM-cache predictor kind, socket count,
- * DRAM-cache capacity, page-mapping policy -- plus the
+ * snoopy protocol variant, socket count, DRAM-cache capacity,
+ * page-mapping policy -- plus the
  * shared run parameters (scale, warm-up/measure quotas, seed).
  * expand() flattens the grid into an ordered list of self-contained
  * RunSpecs; the expansion order is a deterministic nested loop
@@ -50,7 +50,6 @@ struct RunSpec
     std::size_t variantIdx = 0;
     std::size_t designIdx = 0;
     std::size_t protocolIdx = 0;
-    std::size_t predictorIdx = 0;
     std::size_t socketIdx = 0;
     std::size_t dramIdx = 0;
     std::size_t mappingIdx = 0;
@@ -76,10 +75,6 @@ struct SweepGrid
      * names its protocol in the row identity, so a grid whose
      * protocol set changed refuses to resume/merge. */
     std::vector<Protocol> protocols = {Protocol::Mesi};
-    /** DRAM-cache predictor kinds (docs/predictors.md). Like the
-     * protocol axis, the kind is part of every row's identity, so a
-     * grid whose predictor set changed refuses to resume/merge. */
-    std::vector<PredictorKind> predictors = {PredictorKind::Region};
     std::vector<std::uint32_t> sockets = {4};
     /** Unscaled DRAM-cache capacities in MB; 0 keeps the Table II
      * default (1 GB). */

@@ -129,50 +129,6 @@ Machine::totalDramCacheMisses() const
 }
 
 std::uint64_t
-Machine::totalPredictorTrains() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets) {
-        if (s->dramCache())
-            n += s->dramCache()->predictorTrains();
-    }
-    return n;
-}
-
-std::uint64_t
-Machine::totalPredictorBypasses() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets) {
-        if (s->dramCache())
-            n += s->dramCache()->predictorBypasses();
-    }
-    return n;
-}
-
-std::uint64_t
-Machine::totalPredictorGhostHits() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets) {
-        if (s->dramCache())
-            n += s->dramCache()->predictorGhostHits();
-    }
-    return n;
-}
-
-std::uint64_t
-Machine::totalPredictorFalsePresent() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets) {
-        if (s->dramCache())
-            n += s->dramCache()->predictorFalsePresents();
-    }
-    return n;
-}
-
-std::uint64_t
 Machine::totalLlcMisses() const
 {
     std::uint64_t n = 0;

@@ -162,12 +162,6 @@ class Machine
     std::uint64_t remoteMemWrites() const;
     std::uint64_t totalDramCacheHits() const;
     std::uint64_t totalDramCacheMisses() const;
-    /** DRAM-cache predictor accuracy counters summed across sockets
-     * (docs/predictors.md). */
-    std::uint64_t totalPredictorTrains() const;
-    std::uint64_t totalPredictorBypasses() const;
-    std::uint64_t totalPredictorGhostHits() const;
-    std::uint64_t totalPredictorFalsePresent() const;
     std::uint64_t totalLlcMisses() const;
     std::uint64_t interSocketBytes() const;
 

@@ -242,10 +242,6 @@ Runner::collectResult(Tick measured_ticks)
     r.dramCacheMisses = m->totalDramCacheMisses();
     r.llcMisses = m->totalLlcMisses();
     r.interSocketBytes = m->interSocketBytes();
-    r.predictorTrains = m->totalPredictorTrains();
-    r.predictorBypasses = m->totalPredictorBypasses();
-    r.predictorGhostHits = m->totalPredictorGhostHits();
-    r.predictorFalsePresent = m->totalPredictorFalsePresent();
     const StatGroup &sg = m->stats();
     r.broadcasts = sg.has("proto.broadcasts")
         ? sg.valueOf("proto.broadcasts") : 0;

@@ -69,14 +69,6 @@ struct RunResult
     std::uint64_t broadcasts = 0;
     std::uint64_t broadcastsElided = 0;
 
-    // DRAM-cache predictor accuracy (docs/predictors.md). All zero
-    // for the region predictor except falsePresent (counting-filter
-    // mode); the perceptron fills all four.
-    std::uint64_t predictorTrains = 0;
-    std::uint64_t predictorBypasses = 0;
-    std::uint64_t predictorGhostHits = 0;
-    std::uint64_t predictorFalsePresent = 0;
-
     /** Per-tenant QoS breakdown; empty for non-composed runs. */
     std::vector<TenantMetrics> tenants;
 

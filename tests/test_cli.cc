@@ -103,6 +103,10 @@ TEST(Cli, RejectsUnknownFlag)
     const CliOptions opt = parseCli({"--frobnicate=7"});
     EXPECT_FALSE(opt.ok());
     EXPECT_NE(opt.error.find("frobnicate"), std::string::npos);
+    // The DRAM-cache predictor is not a selectable option.
+    const CliOptions removed = parseCli({"--predictor=region"});
+    EXPECT_FALSE(removed.ok());
+    EXPECT_NE(removed.error.find("predictor"), std::string::npos);
 }
 
 TEST(Cli, RejectsMalformedNumbers)

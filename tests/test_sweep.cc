@@ -2,13 +2,16 @@
  * @file
  * Tests for the experiment subsystem: grid expansion (count,
  * ordering, config resolution), thread-pool determinism (the same
- * grid yields identical result rows whatever the worker count), and
- * JSON/CSV round-trips.
+ * grid yields identical result rows whatever the worker count),
+ * JSON/CSV round-trips, and a golden-file check of the full artifact.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "common/log.hh"
 #include "exp/json.hh"
@@ -244,7 +247,7 @@ TEST(ResultTable, RejectsMalformedInput)
     // (The trailing empty field is the tenants column.)
     const std::string header = exp::ResultTable().toCsv();
     const std::string good =
-        "w,,c3d,mesi,region,FT2,4,8,32,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,1.0,";
+        "w,,c3d,mesi,FT2,4,8,32,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,1.0,";
     EXPECT_TRUE(exp::ResultTable::fromCsv(header + good + "\n",
                                           parsed, error)) << error;
     std::string empty_field = good;
@@ -255,6 +258,51 @@ TEST(ResultTable, RejectsMalformedInput)
     negative.replace(negative.find(",4,"), 3, ",-4,");
     EXPECT_FALSE(exp::ResultTable::fromCsv(header + negative + "\n",
                                            parsed, error));
+
+    // The retired c3d-sweep/v3 layout (a predictor column and four
+    // predictor counters) is not this schema, in either format.
+    EXPECT_FALSE(exp::ResultTable::fromJson(
+        "{\"schema\": \"c3d-sweep/v3\", \"rows\": []}", parsed, error));
+    std::string v3_header = header;
+    v3_header.replace(v3_header.find(",protocol,"), 10,
+                      ",protocol,predictor,");
+    v3_header.replace(v3_header.find(",ipc,"), 5,
+                      ",predictor_trains,predictor_bypasses,"
+                      "predictor_ghost_hits,predictor_false_present,ipc,");
+    const std::string v3_row = "w,,c3d,mesi,region,FT2,4,8,32,0,1,2,3,4,"
+                               "5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,"
+                               "1.0,";
+    EXPECT_FALSE(exp::ResultTable::fromCsv(v3_header + v3_row + "\n",
+                                           parsed, error));
+    EXPECT_FALSE(exp::ResultTable::fromCsv(v3_header + good + "\n",
+                                           parsed, error));
+}
+
+/** Contents of the committed file tests/golden/@p name. */
+std::string
+readGolden(const std::string &name)
+{
+    std::ifstream in(std::string(C3D_TEST_SOURCE_DIR) + "/golden/" +
+                     name);
+    EXPECT_TRUE(in.good()) << "missing tests/golden/" << name;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+TEST(ResultTable, GoldenGridMatchesCommittedArtifacts)
+{
+    // The committed files pin this grid's whole artifact: the schema
+    // string, the column order and every value, in both formats.
+    exp::SweepGrid grid;
+    grid.workloads = {profileByName("facesim"),
+                      profileByName("canneal")};
+    grid.designs = {Design::Baseline, Design::Snoopy, Design::C3D};
+    grid.sockets = {2, 4};
+    grid = exp::quickPreset(std::move(grid));
+    const exp::ResultTable table = exp::SweepEngine(1).run(grid);
+    EXPECT_EQ(table.toCsv(), readGolden("pre_pr10_region.csv"));
+    EXPECT_EQ(table.toJson(), readGolden("pre_pr10_region.json"));
 }
 
 TEST(ResultTable, CsvRoundTripsQuotedSpecials)
@@ -301,7 +349,7 @@ TEST(ResultTable, RejectsBadIpcColumn)
     // non-numeric token or a renamed header is not our schema.
     const std::string header = exp::ResultTable().toCsv();
     const std::string good =
-        "w,,c3d,mesi,region,FT2,4,8,32,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,1.0,";
+        "w,,c3d,mesi,FT2,4,8,32,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,1.0,";
     ASSERT_TRUE(exp::ResultTable::fromCsv(header + good + "\n",
                                           parsed, error)) << error;
     std::string bad_field = good;

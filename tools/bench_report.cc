@@ -8,12 +8,8 @@
  *
  * Sections:
  *  - event_queue: the BM_EventQueueScheduleRun workload (1024 events,
- *    small mixed delays) on the production kernel AND on an embedded
- *    replica of the pre-PR kernel (std::function callbacks in a
- *    std::priority_queue). Both run on the same machine in the same
- *    process, so speedup_vs_pre_pr is a live apples-to-apples ratio,
- *    not a stale constant. Same-tick bursts and far-future (wheel
- *    overflow) variants are reported alongside.
+ *    small mixed delays), with same-tick bursts and far-future (wheel
+ *    overflow) variants alongside.
  *  - tag_array: ns per lookup, per allocate, and per always-evicting
  *    allocate.
  *  - end_to_end: one fixed sweep row (facesim / C3D / 4 sockets),
@@ -36,11 +32,6 @@
  *    panic injected into one row under --fail-policy=skip must
  *    contain exactly that failure and leave the surviving row
  *    identical to a clean run's (exit non-zero otherwise).
- *  - predictors: the admission-gate matrix (facesim and canneal on
- *    the C3D design under both --predictors kinds), reporting the
- *    DRAM-cache hit rate and IPC side by side with the training
- *    counters, so a regression in either gate shows up in the
- *    report with the counters that explain it (docs/predictors.md).
  *
  * The tool exits non-zero if any scheduled callback fell back to a
  * heap allocation during the end-to-end row: the simulator's capture
@@ -54,8 +45,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
-#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,59 +69,6 @@ secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-/**
- * Replica of the pre-PR event kernel: heap-allocating std::function
- * callbacks ordered by a std::priority_queue. Kept here (not in
- * src/) purely as the live baseline for the report.
- */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    c3d::Tick now() const { return currentTick; }
-
-    void
-    schedule(c3d::Tick delay, Callback cb)
-    {
-        queue.push(Event{currentTick + delay, nextSequence++,
-                         std::move(cb)});
-    }
-
-    void
-    run()
-    {
-        while (!queue.empty()) {
-            const Event &top = queue.top();
-            currentTick = top.when;
-            Callback cb = std::move(const_cast<Event &>(top).cb);
-            queue.pop();
-            cb();
-        }
-    }
-
-  private:
-    struct Event
-    {
-        c3d::Tick when;
-        std::uint64_t sequence;
-        Callback cb;
-    };
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.sequence > b.sequence;
-        }
-    };
-    std::priority_queue<Event, std::vector<Event>, Later> queue;
-    c3d::Tick currentTick = 0;
-    std::uint64_t nextSequence = 0;
-};
 
 /**
  * Best-of-@p rounds throughput of @p batch (which processes
@@ -166,7 +102,6 @@ struct Report
     double scheduleRunIps = 0;
     double sameTickIps = 0;
     double farFutureIps = 0;
-    double legacyScheduleRunIps = 0;
 
     double nsPerLookup = 0;
     double nsPerAllocate = 0;
@@ -192,20 +127,6 @@ struct Report
     double wdOverheadPct = 0;
     std::size_t containedFaults = 0;
     bool containmentSurvivorsMatch = true;
-
-    /** One workload x predictor cell of the admission-gate matrix. */
-    struct PredictorCell
-    {
-        std::string workload;
-        std::string predictor;
-        double hitRate = 0;
-        double ipc = 0;
-        std::uint64_t trains = 0;
-        std::uint64_t bypasses = 0;
-        std::uint64_t ghostHits = 0;
-        std::uint64_t falsePresent = 0;
-    };
-    std::vector<PredictorCell> predictorCells;
 };
 
 void
@@ -215,19 +136,6 @@ benchEventQueues(Report &rep)
     const int batches = rep.quick ? 300 : 3000;
     constexpr int N = 1024;
 
-    // The legacy replica runs first, on a pristine heap, mirroring
-    // the conditions the pre-PR kernel was originally measured under.
-    {
-        LegacyEventQueue eq;
-        std::uint64_t sink = 0;
-        rep.legacyScheduleRunIps =
-            measureItemsPerSec(rounds, batches, N, [&] {
-                for (int i = 0; i < N; ++i)
-                    eq.schedule(static_cast<c3d::Tick>(i & 7),
-                                [&sink] { ++sink; });
-                eq.run();
-            });
-    }
     {
         c3d::EventQueue eq;
         std::uint64_t sink = 0;
@@ -474,49 +382,11 @@ benchRobustness(Report &rep)
 }
 
 void
-benchPredictors(Report &rep)
-{
-    // The admission-gate matrix (docs/predictors.md): the same
-    // workloads on the C3D design under both predictors, reporting
-    // DRAM-cache hit rate and IPC side by side so a regression in
-    // either gate is visible in the report, next to the counters
-    // that explain it (trains/bypasses/ghost hits/false present).
-    c3d::exp::SweepGrid grid;
-    grid.workloads = {c3d::profileByName("facesim"),
-                      c3d::profileByName("canneal")};
-    grid.designs = {c3d::Design::C3D};
-    grid.predictors = {c3d::PredictorKind::Region,
-                       c3d::PredictorKind::Perceptron};
-    grid.sockets = {4};
-    grid = c3d::exp::quickPreset(std::move(grid));
-    if (!rep.quick)
-        grid.measureOps = 8000;
-
-    c3d::exp::SweepEngine engine(1);
-    const c3d::exp::ResultTable table = engine.run(grid);
-    for (const c3d::exp::ResultRow &row : table.rows()) {
-        Report::PredictorCell cell;
-        cell.workload = row.workload;
-        cell.predictor = row.predictor;
-        const double accesses = static_cast<double>(
-            row.metrics.dramCacheHits + row.metrics.dramCacheMisses);
-        cell.hitRate = accesses > 0
-            ? row.metrics.dramCacheHits / accesses : 0.0;
-        cell.ipc = row.metrics.ipc();
-        cell.trains = row.metrics.predictorTrains;
-        cell.bypasses = row.metrics.predictorBypasses;
-        cell.ghostHits = row.metrics.predictorGhostHits;
-        cell.falsePresent = row.metrics.predictorFalsePresent;
-        rep.predictorCells.push_back(cell);
-    }
-}
-
-void
 writeJson(std::FILE *f, const Report &rep)
 {
-    // Pre-PR reference, for context next to the live replica number:
-    // BM_EventQueueScheduleRun / BM_TagArrayLookup measured at commit
-    // 60bb094 (the kernel this PR replaced) on the PR machine.
+    // Historical reference: BM_EventQueueScheduleRun /
+    // BM_TagArrayLookup measured at commit 60bb094, before the
+    // timing-wheel kernel replaced the std::priority_queue one.
     constexpr double prePrGbenchIps = 1.4633534e7;
     constexpr double prePrGbenchNsPerLookup = 34.44;
 
@@ -530,11 +400,6 @@ writeJson(std::FILE *f, const Report &rep)
                  rep.sameTickIps);
     std::fprintf(f, "    \"far_future_items_per_sec\": %.0f,\n",
                  rep.farFutureIps);
-    std::fprintf(f,
-                 "    \"pre_pr_kernel_items_per_sec\": %.0f,\n",
-                 rep.legacyScheduleRunIps);
-    std::fprintf(f, "    \"speedup_vs_pre_pr\": %.2f,\n",
-                 rep.scheduleRunIps / rep.legacyScheduleRunIps);
     std::fprintf(f,
                  "    \"pre_pr_gbench_reference_items_per_sec\": "
                  "%.0f\n",
@@ -599,27 +464,7 @@ writeJson(std::FILE *f, const Report &rep)
                  static_cast<unsigned long long>(rep.containedFaults));
     std::fprintf(f, "    \"survivors_match_clean_run\": %s\n",
                  rep.containmentSurvivorsMatch ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"predictors\": [\n");
-    for (std::size_t i = 0; i < rep.predictorCells.size(); ++i) {
-        const Report::PredictorCell &c = rep.predictorCells[i];
-        std::fprintf(f, "    {\"workload\": \"%s\", ",
-                     c.workload.c_str());
-        std::fprintf(f, "\"predictor\": \"%s\", ",
-                     c.predictor.c_str());
-        std::fprintf(f, "\"dram_cache_hit_rate\": %.4f, ", c.hitRate);
-        std::fprintf(f, "\"ipc\": %.4f, ", c.ipc);
-        std::fprintf(f, "\"trains\": %llu, ",
-                     static_cast<unsigned long long>(c.trains));
-        std::fprintf(f, "\"bypasses\": %llu, ",
-                     static_cast<unsigned long long>(c.bypasses));
-        std::fprintf(f, "\"ghost_hits\": %llu, ",
-                     static_cast<unsigned long long>(c.ghostHits));
-        std::fprintf(f, "\"false_present\": %llu}%s\n",
-                     static_cast<unsigned long long>(c.falsePresent),
-                     i + 1 < rep.predictorCells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n");
+    std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
 }
 
@@ -649,7 +494,6 @@ main(int argc, char **argv)
     benchEndToEnd(rep);
     benchParallelKernel(rep);
     benchRobustness(rep);
-    benchPredictors(rep);
 
     if (out == "-") {
         writeJson(stdout, rep);
@@ -665,12 +509,9 @@ main(int argc, char **argv)
     }
 
     std::fprintf(stderr,
-                 "event queue: %.1fM items/s (pre-PR kernel %.1fM, "
-                 "%.2fx); tag lookup %.1f ns; row %s in %.2fs "
-                 "(%.1fM events/s)\n",
+                 "event queue: %.1fM items/s; tag lookup %.1f ns; "
+                 "row %s in %.2fs (%.1fM events/s)\n",
                  rep.scheduleRunIps / 1e6,
-                 rep.legacyScheduleRunIps / 1e6,
-                 rep.scheduleRunIps / rep.legacyScheduleRunIps,
                  rep.nsPerLookup, rep.rowName.c_str(),
                  rep.rowWallSeconds, rep.rowEventsPerSec / 1e6);
 
@@ -683,19 +524,6 @@ main(int argc, char **argv)
                      : 0.0,
                  rep.parKernelThreads, rep.hostHwThreads,
                  rep.parKernelMetricsMatch ? "match" : "DIVERGE");
-
-    for (const Report::PredictorCell &c : rep.predictorCells) {
-        std::fprintf(stderr,
-                     "predictor %s/%s: hit rate %.3f, ipc %.4f "
-                     "(%llu trains, %llu bypasses, %llu ghost hits, "
-                     "%llu false present)\n",
-                     c.workload.c_str(), c.predictor.c_str(),
-                     c.hitRate, c.ipc,
-                     static_cast<unsigned long long>(c.trains),
-                     static_cast<unsigned long long>(c.bypasses),
-                     static_cast<unsigned long long>(c.ghostHits),
-                     static_cast<unsigned long long>(c.falsePresent));
-    }
 
     std::fprintf(stderr,
                  "robustness: watchdog overhead %.2f%% "

@@ -63,11 +63,6 @@ const char *const Usage =
     "                         directory designs keep their fixed\n"
     "                         engines but still name the protocol in\n"
     "                         the row identity\n"
-    "  --predictors=A,B       region|perceptron (default region);\n"
-    "                         DRAM-cache admission predictors\n"
-    "                         (docs/predictors.md) -- presence\n"
-    "                         filtering stays exact-or-conservative\n"
-    "                         for every kind\n"
     "  --workloads=A,B|all    paper profile names (default facesim);\n"
     "                         'all' = the nine parallel profiles;\n"
     "                         'trace:FILE' = replay a c3dsim trace\n"
@@ -360,20 +355,6 @@ parseSweepCli(int argc, char **argv)
             }
             if (cli.grid.protocols.empty()) {
                 cli.error = "empty protocol list";
-                return cli;
-            }
-        } else if (key == "predictors") {
-            cli.grid.predictors.clear();
-            for (const std::string &name : splitList(value)) {
-                PredictorKind k;
-                if (!parsePredictorKind(name, k)) {
-                    cli.error = "unknown predictor '" + name + "'";
-                    return cli;
-                }
-                cli.grid.predictors.push_back(k);
-            }
-            if (cli.grid.predictors.empty()) {
-                cli.error = "empty predictor list";
                 return cli;
             }
         } else if (key == "workloads") {
