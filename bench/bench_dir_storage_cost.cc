@@ -15,7 +15,6 @@
  */
 
 #include <cstdio>
-#include <string>
 
 #include "common/cli.hh"
 #include "core/dir_cost.hh"
@@ -26,28 +25,16 @@ main(int argc, char **argv)
 {
     using namespace c3d;
 
-    bool json = false;
-    for (int i = 1; i < argc; ++i) {
-        std::string key, value;
-        std::uint64_t n = 0;
-        const bool is_flag = splitFlag(argv[i], key, value);
-        if (is_flag && key == "json") {
-            json = true;
-        } else if (is_flag && key == "help") {
-            std::printf("usage: bench_dir_storage_cost [--json] "
-                        "[--quick] [--jobs=N]\n");
-            return 0;
-        } else if (is_flag &&
-                   (key == "quick" ||
-                    (key == "jobs" && parseU64(value, n)))) {
-            // accepted, no effect: the analysis is instantaneous
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_dir_storage_cost [--json] "
-                         "[--quick] [--jobs=N]\n");
-            return 2;
-        }
-    }
+    bool json = false, quick = false;
+    std::uint64_t jobs = 1;
+    FlagTable flags("bench_dir_storage_cost: SIII-B directory storage "
+                    "cost (analytic)");
+    flags.flag("json", "emit the c3d-dir-cost/v1 JSON table", json)
+        .flag("quick", "accepted for uniformity; no effect", quick)
+        .number("jobs", "accepted for uniformity; no effect", jobs);
+    if (const auto rc =
+            flags.parseArgs(argc, argv, "bench_dir_storage_cost"))
+        return *rc;
 
     const std::uint64_t llc = 16ull << 20;
     const std::uint64_t dram_cache = 1024ull << 20;

@@ -3,13 +3,8 @@
  * Sweep-engine front end shared by every paper-figure bench.
  *
  * Each bench declares its study as one or more SweepGrids and hands
- * them to a BenchRun, which owns the common command line:
- *
- *   --jobs=N   run grid points on N worker threads (default 1)
- *   --quick    shrink the grid to a seconds-scale smoke version
- *   --json     emit the raw result table as JSON instead of the
- *              human-readable paper table (machine consumers; the
- *              smoke tests assert this output parses)
+ * them to a BenchRun, which owns the common command line (--jobs,
+ * --quick, --json; see --help).
  *
  * Because grid expansion order fixes result order, bench output is
  * identical for every --jobs value; the pool only changes wall-clock.
@@ -18,6 +13,7 @@
 #ifndef C3DSIM_BENCH_BENCH_MAIN_HH
 #define C3DSIM_BENCH_BENCH_MAIN_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -36,32 +32,19 @@ class BenchRun
              const char *claim)
         : experimentName(experiment), claimText(claim)
     {
-        for (int i = 1; i < argc; ++i) {
-            std::string key, value;
-            std::uint64_t n = 0;
-            if (!splitFlag(argv[i], key, value)) {
-                fail(std::string("unexpected argument '") + argv[i] +
-                     "'");
-                return;
-            }
-            if (key == "jobs") {
-                if (!parseU64(value, n) || n > 256) {
-                    fail("bad --jobs value");
-                    return;
-                }
-                jobCount = static_cast<unsigned>(n);
-            } else if (key == "quick") {
-                quick = true;
-            } else if (key == "json") {
-                json = true;
-            } else if (key == "help") {
-                std::printf("%s\n  --jobs=N  --quick  --json\n",
-                            experiment);
-                helpShown = true;
-            } else {
-                fail("unknown flag '--" + key + "'");
-                return;
-            }
+        FlagTable flags(experiment);
+        flags.number("jobs", "worker threads (default 1)", jobCount, 0, 256)
+            .flag("quick", "shrink the grid to a seconds-scale smoke run",
+                  quick)
+            .flag("json", "emit the raw result table as JSON instead of "
+                  "the paper table (the smoke tests parse it)", json);
+        if (!flags.parse({argv + std::min(1, argc), argv + argc})) {
+            error = flags.error();
+            std::fprintf(stderr, "bench: %s (try --help)\n",
+                         error.c_str());
+        } else if (flags.helpRequested()) {
+            std::fputs(flags.help().c_str(), stdout);
+            helpShown = true;
         }
         setQuiet(true);
     }
@@ -121,13 +104,6 @@ class BenchRun
     }
 
   private:
-    void
-    fail(const std::string &msg)
-    {
-        error = msg;
-        std::fprintf(stderr, "bench: %s (try --help)\n", msg.c_str());
-    }
-
     /** Header printing waits for the first run(), when the actual
      * machine scale (post --quick) is known. */
     void

@@ -1,35 +1,207 @@
 #include "common/cli.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <sstream>
 
 namespace c3d
 {
 
-/** Split "--key=value"; value empty for bare flags. */
-bool
-splitFlag(const std::string &arg, std::string &key, std::string &value)
+namespace
 {
-    if (arg.rfind("--", 0) != 0)
-        return false;
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-        key = arg.substr(2);
-        value.clear();
-    } else {
-        key = arg.substr(2, eq - 2);
-        value = arg.substr(eq + 1);
+
+/** Help layout: labels in a 25-column gutter, text up to column 72. */
+constexpr std::size_t HelpGutter = 25;
+constexpr std::size_t HelpWidth = 72;
+
+/** Greedy word wrap of @p text into lines of @p width columns. */
+std::vector<std::string>
+wrapWords(const std::string &text, std::size_t width)
+{
+    std::vector<std::string> lines;
+    std::istringstream words(text);
+    std::string word, line;
+    while (words >> word) {
+        if (!line.empty() && line.size() + 1 + word.size() > width) {
+            lines.push_back(line);
+            line.clear();
+        }
+        line += (line.empty() ? "" : " ") + word;
     }
-    return true;
+    if (!line.empty())
+        lines.push_back(line);
+    return lines;
 }
+
+/** One help line: @p label in the gutter, @p text wrapped beside it
+ *  (a label too wide for the gutter gets a line of its own). */
+void
+appendHelpEntry(std::string &out, const std::string &label,
+                const std::string &text)
+{
+    std::string lead = "  " + label;
+    if (lead.size() + 2 > HelpGutter) {
+        out += lead + "\n";
+        lead.clear();
+    }
+    for (const std::string &line : wrapWords(text, HelpWidth - HelpGutter)) {
+        lead.resize(HelpGutter, ' ');
+        out += lead + line + "\n";
+        lead.clear();
+    }
+}
+
+} // namespace
 
 bool
 parseU64(const std::string &s, std::uint64_t &out)
 {
-    if (s.empty())
+    // strtoull alone would skip leading whitespace, accept a sign
+    // (negating modulo 2^64) and clamp overflow to 2^64-1.
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
         return false;
+    errno = 0;
     char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 0);
-    return end && *end == '\0';
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
+    if (errno == ERANGE || *end != '\0')
+        return false;
+    out = v;
+    return true;
+}
+
+FlagTable::Setter
+FlagTable::bounded(const char *name, std::uint64_t lo, std::uint64_t hi,
+                   std::function<void(std::uint64_t)> store)
+{
+    std::string range;
+    if (hi != std::numeric_limits<std::uint64_t>::max())
+        range = " (want " + std::to_string(lo) + ".." +
+            std::to_string(hi) + ")";
+    else if (lo != 0)
+        range = " (want >= " + std::to_string(lo) + ")";
+    const std::string flag = std::string("--") + name;
+    return [=](const std::string &value, std::string &error) {
+        std::uint64_t n = 0;
+        if (!parseU64(value, n) || n < lo || n > hi) {
+            error = "bad " + flag + " '" + value + "'" + range;
+            return false;
+        }
+        store(n);
+        return true;
+    };
+}
+
+FlagTable &
+FlagTable::custom(const char *name, const char *arg, const char *help,
+                  Setter set)
+{
+    entries.push_back(
+        Entry{std::move(nextHeading), name, arg, help, std::move(set)});
+    nextHeading.clear();
+    return *this;
+}
+
+FlagTable &
+FlagTable::positional(const char *arg, const char *help,
+                      std::vector<std::string> &target, std::size_t max)
+{
+    positionals = &target;
+    maxPositionals = max;
+    return custom("", arg, help, nullptr);
+}
+
+bool
+FlagTable::reject(std::string &error, const char *what,
+                  const std::string &value)
+{
+    error = std::string(what) + " '" + value + "'";
+    return false;
+}
+
+bool
+FlagTable::parse(const std::vector<std::string> &args)
+{
+    for (const std::string &arg : args) {
+        if (arg.rfind("--", 0) != 0) {
+            if (!positionals || positionals->size() >= maxPositionals) {
+                parseError = "unexpected argument '" + arg + "'";
+                return false;
+            }
+            positionals->push_back(arg);
+            continue;
+        }
+        const std::size_t eq = arg.find('=');
+        // eq >= 2 when present; npos - 2 still reads to the end.
+        const std::string key = arg.substr(2, eq - 2);
+        const std::string value =
+            eq == std::string::npos ? "" : arg.substr(eq + 1);
+        if (key == "help") {
+            helpSeen = true;
+            continue;
+        }
+        const auto entry =
+            std::find_if(entries.begin(), entries.end(),
+                         [&key](const Entry &e) {
+                             return !key.empty() && e.name == key;
+                         });
+        if (entry == entries.end()) {
+            parseError = "unknown flag '--" + key + "'";
+            return false;
+        }
+        std::string error;
+        if (!entry->set(value, error)) {
+            parseError = !error.empty()
+                ? error
+                : "bad --" + key + " '" + value + "'";
+            return false;
+        }
+    }
+    return true;
+}
+
+std::optional<int>
+FlagTable::parseArgs(int argc, char **argv, const char *tool, int first)
+{
+    const bool parsed = parse(std::vector<std::string>(
+        argv + std::min(first, argc), argv + argc));
+    if (helpSeen) {
+        std::fputs(help().c_str(), stdout);
+        return 0;
+    }
+    if (!parsed)
+        return usageError(tool, parseError);
+    return std::nullopt;
+}
+
+int
+FlagTable::usageError(const char *tool, const std::string &message) const
+{
+    std::fprintf(stderr, "%s: %s\n%s", tool, message.c_str(),
+                 help().c_str());
+    return 2;
+}
+
+std::string
+FlagTable::help() const
+{
+    std::string out;
+    for (const std::string &line : wrapWords(title, HelpWidth))
+        out += line + "\n";
+    for (const Entry &e : entries) {
+        if (!e.heading.empty())
+            out += "\n" + e.heading + ":\n";
+        if (e.name.empty())
+            appendHelpEntry(out, e.arg, e.help);
+        else if (e.arg.empty() || e.arg[0] == '[')
+            appendHelpEntry(out, "--" + e.name + e.arg, e.help);
+        else
+            appendHelpEntry(out, "--" + e.name + "=" + e.arg, e.help);
+    }
+    appendHelpEntry(out, "--help", "print this help and exit");
+    return out;
 }
 
 bool
@@ -90,148 +262,95 @@ splitList(const std::string &s)
     }
 }
 
+namespace
+{
+
+/** parseCli's values before scaling and latency conversion. */
+struct RawCli
+{
+    SystemConfig raw;
+    std::uint64_t dramNs = 0, hopNs = 0, memNs = 0;
+    bool noDramCache = false;
+};
+
+FlagTable
+cliTable(CliOptions &opt, RawCli &r)
+{
+    FlagTable t("c3dsim options:");
+    t.mapped("design", "NAME",
+             "baseline|snoopy|full-dir|c3d|c3d-full-dir (default c3d)",
+             r.raw.design, parseDesign, "unknown design")
+        .number("sockets", "2 or 4 (default 4)", r.raw.numSockets, 1, 8)
+        .number("cores-per-socket", "(default 8)", r.raw.coresPerSocket,
+                1, 64)
+        .number("scale", "shrink capacities & workload by N (default 32)",
+                opt.scale, 1)
+        .mapped("mapping", "P", "INT|FT1|FT2 (default FT2)",
+                r.raw.mapping, parseMapping, "unknown mapping")
+        .mapped("protocol", "NAME",
+                "mesi|mesif|moesi|dragon snoopy variant (default mesi)",
+                r.raw.protocol, parseProtocol, "unknown protocol")
+        .number("store-buffer",
+                "snoopy store write buffer depth (default 0 = off)",
+                r.raw.storeWriteBufferDepth, 0, 4096)
+        .text("workload", "NAME", "paper profile name (default facesim)",
+              opt.workload)
+        .number("warmup", "references per core before the window",
+                opt.warmupOps)
+        .number("measure", "references per core measured",
+                opt.measureOps)
+        .number("dram-cache-ns", "DRAM-cache latency override",
+                r.dramNs)
+        .number("hop-ns", "inter-socket hop latency override", r.hopNs)
+        .number("mem-ns", "memory latency override", r.memNs)
+        .flag("no-dram-cache", "drop the DRAM cache (any design)",
+              r.noDramCache)
+        .flag("tlb-classification", "enable the SIV-D broadcast filter",
+              r.raw.tlbPageClassification)
+        .number("seed", "workload RNG seed", opt.seed);
+    return t;
+}
+
+} // namespace
+
 std::string
 cliUsage()
 {
-    return
-        "c3dsim options:\n"
-        "  --design=NAME          baseline|snoopy|full-dir|c3d|"
-        "c3d-full-dir (default c3d)\n"
-        "  --sockets=N            2 or 4 (default 4)\n"
-        "  --cores-per-socket=N   (default 8)\n"
-        "  --scale=N              shrink capacities & workload by N "
-        "(default 32)\n"
-        "  --mapping=P            INT|FT1|FT2 (default FT2)\n"
-        "  --protocol=NAME        mesi|mesif|moesi|dragon snoopy "
-        "variant (default mesi)\n"
-        "  --store-buffer=N       snoopy store write buffer depth "
-        "(default 0 = off)\n"
-        "  --workload=NAME        paper profile name (default "
-        "facesim)\n"
-        "  --warmup=N --measure=N references per core\n"
-        "  --dram-cache-ns=N --hop-ns=N --mem-ns=N latency overrides\n"
-        "  --no-dram-cache        drop the DRAM cache (any design)\n"
-        "  --tlb-classification   enable the SIV-D broadcast filter\n"
-        "  --seed=N               workload RNG seed\n"
-        "  --help\n";
+    CliOptions opt;
+    RawCli raw;
+    return cliTable(opt, raw).help();
 }
 
 CliOptions
 parseCli(const std::vector<std::string> &args)
 {
     CliOptions opt;
-    SystemConfig raw; // unscaled; scaled at the end
+    RawCli r; // unscaled; scaled at the end
+    FlagTable table = cliTable(opt, r);
+    if (!table.parse(args))
+        opt.error = table.error();
+    opt.showHelp = table.helpRequested();
+    if (!opt.error.empty())
+        return opt;
 
-    std::uint64_t dram_ns = 0, hop_ns = 0, mem_ns = 0;
+    if (r.noDramCache)
+        r.raw.hasDramCache = false;
+    if (r.dramNs)
+        r.raw.dramCacheLatency = nsToTicks(r.dramNs);
+    if (r.hopNs)
+        r.raw.hopLatency = nsToTicks(r.hopNs);
+    if (r.memNs)
+        r.raw.memLatency = nsToTicks(r.memNs);
 
-    for (const std::string &arg : args) {
-        std::string key, value;
-        if (!splitFlag(arg, key, value)) {
-            opt.error = "unexpected argument '" + arg + "'";
-            return opt;
-        }
-        std::uint64_t n = 0;
-        if (key == "help") {
-            opt.showHelp = true;
-        } else if (key == "design") {
-            if (!parseDesign(value, raw.design)) {
-                opt.error = "unknown design '" + value + "'";
-                return opt;
-            }
-        } else if (key == "mapping") {
-            if (!parseMapping(value, raw.mapping)) {
-                opt.error = "unknown mapping '" + value + "'";
-                return opt;
-            }
-        } else if (key == "protocol") {
-            if (!parseProtocol(value, raw.protocol)) {
-                opt.error = "unknown protocol '" + value + "'";
-                return opt;
-            }
-        } else if (key == "store-buffer") {
-            if (!parseU64(value, n) || n > 4096) {
-                opt.error = "bad store-buffer depth";
-                return opt;
-            }
-            raw.storeWriteBufferDepth = static_cast<std::uint32_t>(n);
-        } else if (key == "sockets") {
-            if (!parseU64(value, n) || n < 1 || n > 8) {
-                opt.error = "bad socket count";
-                return opt;
-            }
-            raw.numSockets = static_cast<std::uint32_t>(n);
-        } else if (key == "cores-per-socket") {
-            if (!parseU64(value, n) || n < 1 || n > 64) {
-                opt.error = "bad cores-per-socket";
-                return opt;
-            }
-            raw.coresPerSocket = static_cast<std::uint32_t>(n);
-        } else if (key == "scale") {
-            if (!parseU64(value, n) || n < 1) {
-                opt.error = "bad scale";
-                return opt;
-            }
-            opt.scale = static_cast<std::uint32_t>(n);
-        } else if (key == "workload") {
-            opt.workload = value;
-        } else if (key == "warmup") {
-            if (!parseU64(value, opt.warmupOps)) {
-                opt.error = "bad warmup";
-                return opt;
-            }
-        } else if (key == "measure") {
-            if (!parseU64(value, opt.measureOps)) {
-                opt.error = "bad measure";
-                return opt;
-            }
-        } else if (key == "dram-cache-ns") {
-            if (!parseU64(value, dram_ns)) {
-                opt.error = "bad dram-cache-ns";
-                return opt;
-            }
-        } else if (key == "hop-ns") {
-            if (!parseU64(value, hop_ns)) {
-                opt.error = "bad hop-ns";
-                return opt;
-            }
-        } else if (key == "mem-ns") {
-            if (!parseU64(value, mem_ns)) {
-                opt.error = "bad mem-ns";
-                return opt;
-            }
-        } else if (key == "no-dram-cache") {
-            raw.hasDramCache = false;
-        } else if (key == "tlb-classification") {
-            raw.tlbPageClassification = true;
-        } else if (key == "seed") {
-            if (!parseU64(value, opt.seed)) {
-                opt.error = "bad seed";
-                return opt;
-            }
-        } else {
-            opt.error = "unknown flag '--" + key + "'";
-            return opt;
-        }
-    }
-
-    if (dram_ns)
-        raw.dramCacheLatency = nsToTicks(dram_ns);
-    if (hop_ns)
-        raw.hopLatency = nsToTicks(hop_ns);
-    if (mem_ns)
-        raw.memLatency = nsToTicks(mem_ns);
-
-    opt.config = raw.scaled(opt.scale);
+    opt.config = r.raw.scaled(opt.scale);
     return opt;
 }
 
 CliOptions
 parseCli(int argc, char **argv)
 {
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i)
-        args.emplace_back(argv[i]);
-    return parseCli(args);
+    return parseCli(std::vector<std::string>(argv + std::min(1, argc),
+                                             argv + argc));
 }
 
 } // namespace c3d

@@ -289,6 +289,14 @@ scanTraceFile(const std::string &path, TraceFileInfo &info,
     return true;
 }
 
+std::string
+dirPrefix(const std::string &path)
+{
+    const std::size_t slash = path.find_last_of('/');
+    return slash == std::string::npos ? std::string()
+                                      : path.substr(0, slash + 1);
+}
+
 bool
 sameFileTarget(const std::string &in, const std::string &out)
 {

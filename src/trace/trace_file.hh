@@ -105,6 +105,13 @@ std::string traceWorkloadName(const std::string &path,
                               std::uint64_t content_hash);
 
 /**
+ * Directory prefix of @p path, up to and including the last '/';
+ * empty for a bare file name. Corpus manifests (`traces:` lists,
+ * `compose:` manifests) resolve relative member paths against it.
+ */
+std::string dirPrefix(const std::string &path);
+
+/**
  * True when @p in and @p out name the same file: equal paths, or two
  * paths resolving to one inode. Writing @p out would clobber @p in
  * mid-read, so every tool that derives an output from input files

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 
 #include "common/hash.hh"
 #include "exp/json.hh"
@@ -55,14 +56,6 @@ parseHex16(const std::string &s, std::uint64_t &out)
         out = (out << 4) | nibble;
     }
     return true;
-}
-
-std::string
-dirPrefixOf(const std::string &path)
-{
-    const std::size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? std::string()
-                                      : path.substr(0, slash + 1);
 }
 
 std::string
@@ -236,6 +229,24 @@ compositionToJson(const CompositionSpec &spec)
     return out;
 }
 
+std::string
+manifestMemberPath(const std::string &manifest_path,
+                   const std::string &trace_path)
+{
+    const std::string dir = dirPrefix(manifest_path);
+    if (dir.empty() || trace_path.empty() || trace_path[0] == '/')
+        return trace_path;
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    const fs::path base = fs::weakly_canonical(dir, ec);
+    const fs::path target = ec ? fs::path()
+                               : fs::weakly_canonical(trace_path, ec);
+    const fs::path rel = target.lexically_relative(base);
+    // On any failure keep the path as given: the caller's load-back
+    // check then reports the member it cannot find.
+    return ec || rel.empty() ? trace_path : rel.generic_string();
+}
+
 bool
 loadComposition(const std::string &path, CompositionSpec &out,
                 std::string &error, bool validate_members)
@@ -290,7 +301,7 @@ loadComposition(const std::string &path, CompositionSpec &out,
         error = "'" + path + "' lists no tenants";
         return false;
     }
-    const std::string dir = dirPrefixOf(path);
+    const std::string dir = dirPrefix(path);
     for (const exp::JsonValue &tv : tenants->array()) {
         if (!tv.isObject()) {
             error = "'" + path + "': tenant entry is not an object";

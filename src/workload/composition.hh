@@ -120,6 +120,16 @@ bool loadComposition(const std::string &path, CompositionSpec &out,
                      std::string &error, bool validate_members = true);
 
 /**
+ * The member path to write into a manifest at @p manifest_path so
+ * that loadComposition() finds @p trace_path (as named from the
+ * current directory): unchanged when it is absolute or the manifest
+ * has no directory part, otherwise relative to the manifest's
+ * directory (symlinks resolved, so "../" steps are exact).
+ */
+std::string manifestMemberPath(const std::string &manifest_path,
+                               const std::string &trace_path);
+
+/**
  * Build the WorkloadProfile that names @p path in a sweep grid:
  * name "compose:<basename>@<hash8>", compositionPath/Hash set, seed
  * = the manifest's recorded seed, synthetic generator fields zeroed.

@@ -37,7 +37,7 @@
  * heap allocation during the end-to-end row: the simulator's capture
  * sizes are part of the perf contract (docs/perf.md).
  *
- * Usage: bench-report [--quick] [--out=PATH|-]
+ * Usage: bench-report [--quick] [--out=PATH|-]; --help lists the flags.
  */
 
 #include <algorithm>
@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "cache/tag_array.hh"
+#include "common/cli.hh"
 #include "common/rng.hh"
 #include "exp/sweep_engine.hh"
 #include "exp/sweep_grid.hh"
@@ -475,19 +476,14 @@ main(int argc, char **argv)
 {
     Report rep;
     std::string out = "BENCH.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--quick") {
-            rep.quick = true;
-        } else if (arg.rfind("--out=", 0) == 0) {
-            out = arg.substr(6);
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench-report [--quick] "
-                         "[--out=PATH|-]\n");
-            return 2;
-        }
-    }
+    c3d::FlagTable flags("bench-report: hot-path microbenches plus one "
+                         "end-to-end sweep row, written as BENCH.json "
+                         "(docs/perf.md)");
+    flags.flag("quick", "short runs; no watchdog-overhead gate", rep.quick)
+        .text("out", "PATH|-", "report file, - = stdout (default "
+              "BENCH.json)", out);
+    if (const auto rc = flags.parseArgs(argc, argv, "bench-report"))
+        return *rc;
 
     benchEventQueues(rep);
     benchTagArray(rep);

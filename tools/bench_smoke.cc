@@ -24,8 +24,10 @@
  *              them into a composition manifest (c3d-trace compose),
  *              sweep it via --workloads=compose: (whole vs
  *              sharded+merged vs resumed, byte-identical, per-tenant
- *              stats present), and assert that a modified member
- *              trace is refused with a precise diagnostic.
+ *              stats present), compose again from relative paths
+ *              into a subdirectory (the manifest must load back),
+ *              and assert that a modified member trace is refused
+ *              with a precise diagnostic.
  *
  * Exit status 0 on success; 1 with a diagnostic on any failure. The
  * CTest smoke suite registers one invocation per bench binary.
@@ -34,6 +36,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -42,6 +45,7 @@
 #include "exp/journal.hh"
 #include "exp/json.hh"
 #include "exp/result_table.hh"
+#include "trace/trace_file.hh"
 
 namespace
 {
@@ -378,7 +382,9 @@ composeCliCheck(const std::string &sweep_binary,
     if (!tmp.init("c3d_compose_smoke_XXXXXX"))
         return 1;
     const std::string sweep = shellQuote(sweep_binary);
-    const std::string tracer = shellQuote(trace_binary);
+    // Absolute: one compose below runs from inside the smoke dir.
+    const std::string tracer =
+        shellQuote(std::filesystem::absolute(trace_binary).string());
     std::string out;
 
     // Two small tenants with different profiles and seeds, so their
@@ -442,6 +448,20 @@ composeCliCheck(const std::string &sweep_binary,
                              shellQuote("compose:" + manifest);
     std::vector<std::string> journals;
     if (!shardMergeResumeDifferential(sweep, grid, 2, tmp, journals))
+        return 1;
+
+    // Relative member paths, manifest in a subdirectory: the paths
+    // written must resolve from the manifest's directory, which
+    // compose proves by loading the manifest back (members and
+    // their pinned hashes). std::remove deletes "sub" after its
+    // manifest, an empty directory by then.
+    tmp.path("sub/mix.json");
+    tmp.path("sub");
+    if (!runCommand("cd " + shellQuote(c3d::dirPrefix(trace_a)) +
+                        " && mkdir sub && " +
+                        tracer + " compose --out=sub/mix.json"
+                        " tenant_a.c3dt tenant_b.c3dt 2>&1",
+                    out))
         return 1;
 
     // The CSV artifact must carry the per-tenant QoS breakdown.

@@ -52,97 +52,6 @@ namespace
 
 using namespace c3d;
 
-const char *const Usage =
-    "c3d-sweep: run a declarative design-space sweep\n"
-    "\n"
-    "grid axes (comma-separated lists):\n"
-    "  --designs=A,B          baseline|snoopy|full-dir|c3d|"
-    "c3d-full-dir (default c3d)\n"
-    "  --protocols=A,B        mesi|mesif|moesi|dragon (default mesi);\n"
-    "                         snoopy-family protocol variants --\n"
-    "                         directory designs keep their fixed\n"
-    "                         engines but still name the protocol in\n"
-    "                         the row identity\n"
-    "  --workloads=A,B|all    paper profile names (default facesim);\n"
-    "                         'all' = the nine parallel profiles;\n"
-    "                         'trace:FILE' = replay a c3dsim trace\n"
-    "                         (c3d-trace records them); 'traces:M' =\n"
-    "                         every trace listed in manifest M (one\n"
-    "                         path per line, # comments, relative\n"
-    "                         paths resolve against the manifest);\n"
-    "                         'compose:M' = a multi-tenant composition\n"
-    "                         manifest (c3d-trace compose) -- rows\n"
-    "                         report per-tenant QoS stats\n"
-    "  --sockets=N,M          socket counts (default 4)\n"
-    "  --dram-cache-mb=N,M    unscaled DRAM-cache MB; 0 = default 1 GB\n"
-    "  --mappings=P,Q         INT|FT1|FT2 (default FT2)\n"
-    "\n"
-    "run parameters:\n"
-    "  --cores-per-socket=N   0 = paper rule: 16 on 2-socket, else 8\n"
-    "  --scale=N              capacity/footprint shrink (default 32)\n"
-    "  --warmup=N             refs/core before the window (0 = auto)\n"
-    "  --measure=N            refs/core measured (default 25000)\n"
-    "  --seed=N               override every profile's RNG seed\n"
-    "  --quick                tiny grid preset for smoke runs\n"
-    "\n"
-    "execution and output:\n"
-    "  --jobs=N               worker threads (default 1; 0 = all cores)\n"
-    "  --parallel-kernel[=T]  drive each eligible run's sockets on T\n"
-    "                         kernel threads (default min(sockets,\n"
-    "                         cores)); results are byte-identical to\n"
-    "                         the default sequential kernel. Best\n"
-    "                         combined with --jobs=1; ineligible\n"
-    "                         configs (1 socket, zero hop latency,\n"
-    "                         TLB classification) fall back to the\n"
-    "                         sequential kernel\n"
-    "  --format=json|csv|table   (default json)\n"
-    "  --out=FILE             write to FILE instead of stdout\n"
-    "  --progress             report per-run progress on stderr\n"
-    "  --help\n"
-    "\n"
-    "distribution and checkpointing:\n"
-    "  --shard=K/N            run only grid points with index%N == K\n"
-    "                         (K in 0..N-1, N <= 4096; shards are\n"
-    "                         disjoint and together cover the grid)\n"
-    "  --journal=FILE         append each completed row to a fresh\n"
-    "                         crash-safe JSONL journal (refuses an\n"
-    "                         existing file; SIGINT/SIGTERM stop\n"
-    "                         cleanly)\n"
-    "  --resume=FILE          continue a journaled run: rows already\n"
-    "                         in FILE are not re-run; new rows are\n"
-    "                         appended (creates FILE when absent);\n"
-    "                         journaled failures re-run\n"
-    "\n"
-    "robustness (docs/robustness.md):\n"
-    "  --fail-policy=P        abort (default) | skip | retry[:N].\n"
-    "                         abort: a failed grid point stops the\n"
-    "                         sweep. skip: the failure is contained,\n"
-    "                         journaled, and the row is absent from\n"
-    "                         the output (exit 3). retry: re-run the\n"
-    "                         row up to N times (default 1) on the\n"
-    "                         sequential fallback kernel before\n"
-    "                         giving up as skip does\n"
-    "  --watchdog-wall-ms=N   per-row wall-clock budget (0 = off)\n"
-    "  --watchdog-events=N    per-row executed-event budget (0 = off)\n"
-    "  --watchdog-stall=N     per-queue same-tick event limit before\n"
-    "                         a livelock is declared (default\n"
-    "                         2000000; 0 = off)\n"
-    "  --inject-fault=S,S     deterministic fault injection (for\n"
-    "                         testing the containment machinery):\n"
-    "                         S = [par:]panic@TICK | [par:]hang@TICK\n"
-    "                         | [par:]block@TICK\n"
-    "                         | [par:]stall-msg@N, with an optional\n"
-    "                         trailing :K/M hitting only grid points\n"
-    "                         with index%M == K; 'par:' arms only\n"
-    "                         when --parallel-kernel drives the run\n"
-    "\n"
-    "merge subcommand:\n"
-    "  c3d-sweep merge [--format=json|csv|table] [--out=FILE] \\\n"
-    "                  JOURNAL...\n"
-    "  Combine journals of the same grid (e.g. one per shard) into\n"
-    "  the complete result table in grid order; refuses conflicting\n"
-    "  duplicates and missing grid points.\n";
-
 /** One --inject-fault spec: a fault plan plus a grid-point
  *  selector (applies where index % mod == rem; first match wins). */
 struct FaultSel
@@ -161,8 +70,6 @@ struct SweepCli
     std::string outFile;
     bool progress = false;
     bool quick = false;
-    bool showHelp = false;
-    std::string error;
 
     // Distribution and checkpointing.
     unsigned shardIdx = 0;
@@ -181,16 +88,6 @@ struct SweepCli
     std::vector<FaultSel> faults; //!< --inject-fault
 };
 
-/** Parsed `c3d-sweep merge` command line. */
-struct MergeCli
-{
-    std::vector<std::string> journals;
-    std::string format = "json";
-    std::string outFile;
-    bool showHelp = false;
-    std::string error;
-};
-
 /** "K/N" with K < N and N >= 1. */
 bool
 parseShard(const std::string &value, unsigned &idx, unsigned &cnt)
@@ -207,15 +104,6 @@ parseShard(const std::string &value, unsigned &idx, unsigned &cnt)
     idx = static_cast<unsigned>(k);
     cnt = static_cast<unsigned>(n);
     return true;
-}
-
-/** Directory prefix of @p path, up to and including the last '/'. */
-std::string
-dirPrefix(const std::string &path)
-{
-    const std::size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? std::string()
-                                      : path.substr(0, slash + 1);
 }
 
 /**
@@ -306,283 +194,220 @@ parseWorkloads(const std::string &value,
             }
         }
     }
-    if (out.empty()) {
-        error = "empty workload list";
+    return true;
+}
+
+const char *const TableToFile = "--format=table writes to stdout only";
+
+bool
+parseFormat(const std::string &value, std::string &out)
+{
+    if (value != "json" && value != "csv" && value != "table")
         return false;
+    out = value;
+    return true;
+}
+
+/** --fail-policy=abort|skip|retry[:N]; an empty N keeps the count. */
+bool
+parseFailPolicy(const std::string &value, SweepCli &cli,
+                std::string &error)
+{
+    const std::size_t colon = value.find(':');
+    const std::string pol = value.substr(0, colon);
+    const std::string count =
+        colon == std::string::npos ? "" : value.substr(colon + 1);
+    if (pol == "abort") {
+        cli.failPolicy = exp::FailPolicy::Abort;
+    } else if (pol == "skip") {
+        cli.failPolicy = exp::FailPolicy::Skip;
+    } else if (pol == "retry") {
+        cli.failPolicy = exp::FailPolicy::Retry;
+    } else {
+        error = "unknown fail policy '" + value +
+            "' (want abort, skip, or retry[:N])";
+        return false;
+    }
+    std::uint64_t n = cli.retryCount;
+    if (!count.empty() &&
+        (pol != "retry" || !parseU64(count, n) || n < 1 || n > 16)) {
+        error = "bad fail policy '" + value + "'";
+        return false;
+    }
+    cli.retryCount = static_cast<unsigned>(n);
+    return true;
+}
+
+/** --inject-fault=S,S: appends one FaultSel per spec. */
+bool
+parseFaults(const std::string &value, std::vector<FaultSel> &out,
+            std::string &error)
+{
+    for (const std::string &item : splitList(value)) {
+        FaultSel sel;
+        std::string spec = item;
+        // The selector colon comes after the '@' (the 'par:' prefix
+        // owns any earlier colon).
+        const std::size_t at_pos = spec.find('@');
+        const std::size_t sel_pos = at_pos == std::string::npos
+            ? std::string::npos
+            : spec.find(':', at_pos);
+        if (sel_pos != std::string::npos) {
+            if (!parseShard(spec.substr(sel_pos + 1), sel.rem,
+                            sel.mod)) {
+                error = "bad fault selector in '" + item +
+                    "' (want :K/M with K < M)";
+                return false;
+            }
+            spec = spec.substr(0, sel_pos);
+        }
+        if (!parseFaultSpec(spec, sel.plan, error))
+            return false;
+        out.push_back(sel);
     }
     return true;
 }
 
-SweepCli
-parseSweepCli(int argc, char **argv)
+/** c3d-sweep's flags, bound to @p cli. */
+FlagTable
+sweepTable(SweepCli &cli)
 {
-    SweepCli cli;
-    cli.grid.workloads = {profileByName("facesim")};
-
-    for (int i = 1; i < argc; ++i) {
-        std::string key, value;
-        if (!splitFlag(argv[i], key, value)) {
-            cli.error = std::string("unexpected argument '") +
-                argv[i] + "'";
-            return cli;
-        }
-        std::uint64_t n = 0;
-        if (key == "help") {
-            cli.showHelp = true;
-        } else if (key == "designs") {
-            cli.grid.designs.clear();
-            for (const std::string &name : splitList(value)) {
-                Design d;
-                if (!parseDesign(name, d)) {
-                    cli.error = "unknown design '" + name + "'";
-                    return cli;
-                }
-                cli.grid.designs.push_back(d);
-            }
-            if (cli.grid.designs.empty()) {
-                cli.error = "empty design list";
-                return cli;
-            }
-        } else if (key == "protocols") {
-            cli.grid.protocols.clear();
-            for (const std::string &name : splitList(value)) {
-                Protocol p;
-                if (!parseProtocol(name, p)) {
-                    cli.error = "unknown protocol '" + name + "'";
-                    return cli;
-                }
-                cli.grid.protocols.push_back(p);
-            }
-            if (cli.grid.protocols.empty()) {
-                cli.error = "empty protocol list";
-                return cli;
-            }
-        } else if (key == "workloads") {
-            if (!parseWorkloads(value, cli.grid.workloads, cli.error))
-                return cli;
-        } else if (key == "sockets") {
-            cli.grid.sockets.clear();
-            for (const std::string &item : splitList(value)) {
-                if (!parseU64(item, n) || n < 1 || n > 8) {
-                    cli.error = "bad socket count '" + item + "'";
-                    return cli;
-                }
-                cli.grid.sockets.push_back(
-                    static_cast<std::uint32_t>(n));
-            }
-        } else if (key == "dram-cache-mb") {
-            cli.grid.dramCacheMb.clear();
-            for (const std::string &item : splitList(value)) {
-                if (!parseU64(item, n)) {
-                    cli.error = "bad dram-cache-mb '" + item + "'";
-                    return cli;
-                }
-                cli.grid.dramCacheMb.push_back(n);
-            }
-        } else if (key == "mappings") {
-            cli.grid.mappings.clear();
-            for (const std::string &item : splitList(value)) {
-                MappingPolicy p;
-                if (!parseMapping(item, p)) {
-                    cli.error = "unknown mapping '" + item + "'";
-                    return cli;
-                }
-                cli.grid.mappings.push_back(p);
-            }
-        } else if (key == "cores-per-socket") {
-            if (!parseU64(value, n) || n > 64) {
-                cli.error = "bad cores-per-socket";
-                return cli;
-            }
-            cli.grid.coresPerSocket = static_cast<std::uint32_t>(n);
-        } else if (key == "scale") {
-            if (!parseU64(value, n) || n < 1) {
-                cli.error = "bad scale";
-                return cli;
-            }
-            cli.grid.scale = static_cast<std::uint32_t>(n);
-        } else if (key == "warmup") {
-            if (!parseU64(value, cli.grid.warmupOps)) {
-                cli.error = "bad warmup";
-                return cli;
-            }
-        } else if (key == "measure") {
-            if (!parseU64(value, cli.grid.measureOps) ||
-                cli.grid.measureOps == 0) {
-                cli.error = "bad measure";
-                return cli;
-            }
-        } else if (key == "seed") {
-            if (!parseU64(value, cli.grid.seed)) {
-                cli.error = "bad seed";
-                return cli;
-            }
-        } else if (key == "jobs") {
-            if (!parseU64(value, n) || n > 256) {
-                cli.error = "bad jobs";
-                return cli;
-            }
-            cli.jobs = static_cast<unsigned>(n);
-        } else if (key == "parallel-kernel") {
-            cli.kernel.parallel = true;
-            if (!value.empty()) {
-                if (!parseU64(value, n) || n < 1 || n > 256) {
-                    cli.error = "bad parallel-kernel thread count";
-                    return cli;
-                }
-                cli.kernel.threads = static_cast<unsigned>(n);
-            }
-        } else if (key == "format") {
-            if (value != "json" && value != "csv" &&
-                value != "table") {
-                cli.error = "unknown format '" + value + "'";
-                return cli;
-            }
-            cli.format = value;
-        } else if (key == "out") {
-            cli.outFile = value;
-        } else if (key == "progress") {
-            cli.progress = true;
-        } else if (key == "quick") {
-            cli.quick = true;
-        } else if (key == "shard") {
-            if (!parseShard(value, cli.shardIdx, cli.shardCnt)) {
-                cli.error = "bad shard '" + value +
-                    "' (want K/N with K < N and N <= 4096)";
-                return cli;
-            }
-        } else if (key == "journal") {
-            cli.journalFile = value;
-        } else if (key == "resume") {
-            cli.resumeFile = value;
-        } else if (key == "fail-policy") {
-            std::string pol = value;
-            std::string count;
-            const std::size_t colon = pol.find(':');
-            if (colon != std::string::npos) {
-                count = pol.substr(colon + 1);
-                pol = pol.substr(0, colon);
-            }
-            if (pol == "abort") {
-                cli.failPolicy = exp::FailPolicy::Abort;
-            } else if (pol == "skip") {
-                cli.failPolicy = exp::FailPolicy::Skip;
-            } else if (pol == "retry") {
-                cli.failPolicy = exp::FailPolicy::Retry;
-            } else {
-                cli.error = "unknown fail policy '" + value +
-                    "' (want abort, skip, or retry[:N])";
-                return cli;
-            }
-            if (!count.empty()) {
-                if (pol != "retry" || !parseU64(count, n) || n < 1 ||
-                    n > 16) {
-                    cli.error = "bad fail policy '" + value + "'";
-                    return cli;
-                }
-                cli.retryCount = static_cast<unsigned>(n);
-            }
-        } else if (key == "watchdog-wall-ms") {
-            if (!parseU64(value, cli.watchdog.wallMs)) {
-                cli.error = "bad watchdog-wall-ms";
-                return cli;
-            }
-        } else if (key == "watchdog-events") {
-            if (!parseU64(value, cli.watchdog.maxEvents)) {
-                cli.error = "bad watchdog-events";
-                return cli;
-            }
-        } else if (key == "watchdog-stall") {
-            if (!parseU64(value, cli.watchdog.stallEvents)) {
-                cli.error = "bad watchdog-stall";
-                return cli;
-            }
-        } else if (key == "inject-fault") {
-            for (const std::string &item : splitList(value)) {
-                FaultSel sel;
-                std::string spec = item;
-                // The selector colon comes after the '@' (the 'par:'
-                // prefix owns any earlier colon).
-                const std::size_t at_pos = spec.find('@');
-                const std::size_t sel_pos =
-                    at_pos == std::string::npos
-                        ? std::string::npos
-                        : spec.find(':', at_pos);
-                if (sel_pos != std::string::npos) {
-                    if (!parseShard(spec.substr(sel_pos + 1), sel.rem,
-                                    sel.mod)) {
-                        cli.error = "bad fault selector in '" + item +
-                            "' (want :K/M with K < M)";
-                        return cli;
-                    }
-                    spec = spec.substr(0, sel_pos);
-                }
-                if (!parseFaultSpec(spec, sel.plan, cli.error))
-                    return cli;
-                cli.faults.push_back(sel);
-            }
-        } else {
-            cli.error = "unknown flag '--" + key + "'";
-            return cli;
-        }
-    }
-
-    if (!cli.journalFile.empty() && !cli.resumeFile.empty()) {
-        cli.error = "--journal and --resume are mutually exclusive "
-                    "(--resume already appends to its journal)";
-        return cli;
-    }
-    if (cli.grid.sockets.empty()) {
-        cli.error = "empty socket list";
-        return cli;
-    }
-    if (cli.grid.dramCacheMb.empty()) {
-        cli.error = "empty dram-cache-mb list";
-        return cli;
-    }
-    if (cli.grid.mappings.empty()) {
-        cli.error = "empty mapping list";
-        return cli;
-    }
-    if (cli.quick)
-        cli.grid = exp::quickPreset(std::move(cli.grid));
-    return cli;
+    FlagTable t("c3d-sweep: run a declarative design-space sweep");
+    t.section("grid axes (comma-separated lists)")
+        .list("designs", "A,B",
+              "baseline|snoopy|full-dir|c3d|c3d-full-dir (default c3d)",
+              cli.grid.designs, parseDesign, "unknown design")
+        .list("protocols", "A,B",
+              "mesi|mesif|moesi|dragon (default mesi); directory "
+              "designs ignore it but name it in the row identity",
+              cli.grid.protocols, parseProtocol, "unknown protocol")
+        .custom("workloads", "A,B|all",
+                "profile names (default facesim), 'all' (the nine "
+                "parallel profiles), 'trace:FILE', 'traces:MANIFEST' or "
+                "'compose:MANIFEST' (docs/traces.md, docs/workloads.md)",
+                [&cli](const std::string &value, std::string &error) {
+                    return parseWorkloads(value, cli.grid.workloads,
+                                          error);
+                })
+        .list("sockets", "N,M", "socket counts, 1..8 (default 4)",
+              cli.grid.sockets,
+              [](const std::string &item, std::uint32_t &n) {
+                  std::uint64_t v = 0;
+                  if (!parseU64(item, v) || v < 1 || v > 8)
+                      return false;
+                  n = static_cast<std::uint32_t>(v);
+                  return true;
+              },
+              "bad socket count")
+        .list("dram-cache-mb", "N,M",
+              "unscaled DRAM-cache MB; 0 = default 1 GB",
+              cli.grid.dramCacheMb, parseU64, "bad dram-cache-mb")
+        .list("mappings", "P,Q", "INT|FT1|FT2 (default FT2)",
+              cli.grid.mappings, parseMapping, "unknown mapping");
+    t.section("run parameters")
+        .number("cores-per-socket",
+                "0 = paper rule: 16 on 2-socket, else 8",
+                cli.grid.coresPerSocket, 0, 64)
+        .number("scale", "capacity/footprint shrink (default 32)",
+                cli.grid.scale, 1)
+        .number("warmup", "refs/core before the window (0 = auto)",
+                cli.grid.warmupOps)
+        .number("measure", "refs/core measured (default 25000)",
+                cli.grid.measureOps, 1)
+        .number("seed", "override every profile's RNG seed",
+                cli.grid.seed)
+        .flag("quick", "tiny grid preset for smoke runs", cli.quick);
+    t.section("execution and output")
+        .number("jobs", "worker threads (default 1; 0 = all cores)",
+                cli.jobs, 0, 256)
+        .custom("parallel-kernel", "[=T]",
+                "run each eligible row's sockets on T kernel threads, "
+                "1..256 (default min(sockets, cores)); byte-identical "
+                "to the sequential kernel (docs/perf.md)",
+                [&cli](const std::string &value, std::string &) {
+                    std::uint64_t n = cli.kernel.threads;
+                    cli.kernel.parallel = true;
+                    if (!value.empty() &&
+                        (!parseU64(value, n) || n < 1 || n > 256))
+                        return false;
+                    cli.kernel.threads = static_cast<unsigned>(n);
+                    return true;
+                })
+        .mapped("format", "json|csv|table", "output format (default json)",
+                cli.format, parseFormat, "unknown format")
+        .text("out", "FILE", "write to FILE instead of stdout",
+              cli.outFile)
+        .flag("progress", "report per-run progress on stderr",
+              cli.progress);
+    t.section("distribution and checkpointing")
+        .custom("shard", "K/N",
+                "run only grid points with index%N == K (K < N <= "
+                "4096); the N shards partition the grid",
+                [&cli](const std::string &value, std::string &) {
+                    return parseShard(value, cli.shardIdx, cli.shardCnt);
+                })
+        .text("journal", "FILE",
+              "checkpoint each row to a new crash-safe JSONL journal",
+              cli.journalFile)
+        .text("resume", "FILE",
+              "continue a journal: skip its rows, append new ones, "
+              "re-run its failures (creates FILE when absent)",
+              cli.resumeFile);
+    t.section("robustness (docs/robustness.md)")
+        .custom("fail-policy", "P",
+                "abort (default) stops at a failed row; skip contains "
+                "it and exits 3; retry[:N] re-runs it up to N times "
+                "(default 1) on the sequential kernel, then skips",
+                [&cli](const std::string &value, std::string &error) {
+                    return parseFailPolicy(value, cli, error);
+                })
+        .number("watchdog-wall-ms",
+                "per-row wall-clock budget (0 = off)",
+                cli.watchdog.wallMs)
+        .number("watchdog-events",
+                "per-row executed-event budget (0 = off)",
+                cli.watchdog.maxEvents)
+        .number("watchdog-stall",
+                "per-queue same-tick event limit, i.e. livelock "
+                "(default 2000000; 0 = off)",
+                cli.watchdog.stallEvents)
+        .custom("inject-fault", "S,S",
+                "test faults: S = [par:]KIND@TICK[:K/M], KIND = panic, "
+                "hang, block or stall-msg; :K/M hits rows with index%M "
+                "== K; par: only under --parallel-kernel",
+                [&cli](const std::string &value, std::string &error) {
+                    return parseFaults(value, cli.faults, error);
+                });
+    return t;
 }
 
-MergeCli
-parseMergeCli(int argc, char **argv)
+/**
+ * The rules no single flag can check: non-empty axes, --journal vs
+ * --resume, --format=table vs --out; then the --quick preset. Empty
+ * on success.
+ */
+std::string
+finishSweepCli(SweepCli &cli)
 {
-    MergeCli cli;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            cli.journals.push_back(arg);
-            continue;
-        }
-        std::string key, value;
-        if (!splitFlag(argv[i], key, value)) {
-            cli.error = "unexpected argument '" + arg + "'";
-            return cli;
-        }
-        if (key == "help") {
-            cli.showHelp = true;
-        } else if (key == "format") {
-            if (value != "json" && value != "csv" &&
-                value != "table") {
-                cli.error = "unknown format '" + value + "'";
-                return cli;
-            }
-            cli.format = value;
-        } else if (key == "out") {
-            cli.outFile = value;
-        } else {
-            cli.error = "unknown flag '--" + key + "'";
-            return cli;
-        }
+    const exp::SweepGrid &g = cli.grid;
+    for (const auto &[empty, axis] :
+         {std::pair{g.designs.empty(), "design"},
+          {g.protocols.empty(), "protocol"},
+          {g.workloads.empty(), "workload"},
+          {g.sockets.empty(), "socket"},
+          {g.dramCacheMb.empty(), "dram-cache-mb"},
+          {g.mappings.empty(), "mapping"}}) {
+        if (empty)
+            return std::string("empty ") + axis + " list";
     }
-    if (cli.journals.empty() && !cli.showHelp)
-        cli.error = "merge needs at least one journal file";
-    return cli;
+    if (!cli.journalFile.empty() && !cli.resumeFile.empty())
+        return "--journal and --resume are mutually exclusive "
+               "(--resume already appends to its journal)";
+    if (cli.format == "table" && !cli.outFile.empty())
+        return TableToFile;
+    if (cli.quick)
+        cli.grid = exp::quickPreset(std::move(cli.grid));
+    return "";
 }
 
 void
@@ -640,26 +465,27 @@ emitTable(const exp::ResultTable &table, const std::string &format,
 int
 runMerge(int argc, char **argv)
 {
-    const MergeCli cli = parseMergeCli(argc, argv);
-    if (cli.showHelp) {
-        std::fputs(Usage, stdout);
-        return 0;
-    }
-    if (!cli.error.empty()) {
-        std::fprintf(stderr, "c3d-sweep: %s\n%s", cli.error.c_str(),
-                     Usage);
-        return 2;
-    }
-    if (cli.format == "table" && !cli.outFile.empty()) {
-        std::fprintf(stderr,
-                     "c3d-sweep: --format=table writes to stdout "
-                     "only\n");
-        return 2;
-    }
+    std::vector<std::string> journals;
+    std::string format = "json";
+    std::string out_file;
+    FlagTable flags("c3d-sweep merge JOURNAL...: combine journals of one "
+                    "grid (e.g. one per shard) into its result table");
+    flags.positional("JOURNAL...", "journal files to merge (at least one)",
+                     journals)
+        .mapped("format", "json|csv|table", "output format (default json)",
+                format, parseFormat, "unknown format")
+        .text("out", "FILE", "write to FILE instead of stdout", out_file);
+    if (const auto rc = flags.parseArgs(argc, argv, "c3d-sweep", 2))
+        return *rc;
+    if (journals.empty())
+        return flags.usageError("c3d-sweep",
+                                "merge needs at least one journal file");
+    if (format == "table" && !out_file.empty())
+        return flags.usageError("c3d-sweep", TableToFile);
 
     std::vector<exp::JournalData> parts;
     std::string error;
-    for (const std::string &path : cli.journals) {
+    for (const std::string &path : journals) {
         exp::JournalData data;
         if (!exp::readJournalFile(path, data, error)) {
             std::fprintf(stderr, "c3d-sweep: %s\n", error.c_str());
@@ -678,7 +504,7 @@ runMerge(int argc, char **argv)
         std::fprintf(stderr, "c3d-sweep: %s\n", error.c_str());
         return 1;
     }
-    return emitTable(table, cli.format, cli.outFile);
+    return emitTable(table, format, out_file);
 }
 
 // Written by the SIGINT/SIGTERM handler (the signal number), read
@@ -753,22 +579,21 @@ main(int argc, char **argv)
     if (argc > 1 && std::strcmp(argv[1], "merge") == 0)
         return runMerge(argc, argv);
 
-    const SweepCli cli = parseSweepCli(argc, argv);
-    if (cli.showHelp) {
-        std::fputs(Usage, stdout);
-        return 0;
+    SweepCli cli;
+    cli.grid.workloads = {profileByName("facesim")};
+    FlagTable flags = sweepTable(cli);
+    if (const auto rc = flags.parseArgs(argc, argv, "c3d-sweep")) {
+        if (flags.helpRequested()) { // merge's generated help follows
+            char help[] = "--help";
+            char *args[] = {argv[0], argv[0], help};
+            std::printf("\n");
+            return runMerge(3, args);
+        }
+        return *rc;
     }
-    if (!cli.error.empty()) {
-        std::fprintf(stderr, "c3d-sweep: %s\n%s", cli.error.c_str(),
-                     Usage);
-        return 2;
-    }
-    if (cli.format == "table" && !cli.outFile.empty()) {
-        std::fprintf(stderr,
-                     "c3d-sweep: --format=table writes to stdout "
-                     "only\n");
-        return 2;
-    }
+    const std::string rule_error = finishSweepCli(cli);
+    if (!rule_error.empty())
+        return flags.usageError("c3d-sweep", rule_error);
 
     setQuiet(true);
     exp::SweepEngine engine(cli.jobs);

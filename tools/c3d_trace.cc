@@ -3,32 +3,14 @@
  * c3d-trace: record, inspect, validate, and trim c3dsim trace files.
  *
  * The sweep engine replays traces named as `--workloads=trace:FILE`
- * (docs/traces.md); this tool produces and maintains that corpus:
- *
- *   c3d-trace record --out=FILE [--profile=NAME] [--cores=N]
- *                    [--ops=N] [--seed=N] [--scale=N]
- *                    [--cores-per-socket=N]
- *       Capture a synthetic profile's reference stream into a trace
- *       (deterministic: same flags, byte-identical file).
- *
- *   c3d-trace info FILE [--json]   header, per-core stats, content
- *                             hash; --json for machine consumption
- *   c3d-trace validate FILE   full streaming validation; exit 1 on
- *                             any defect
- *   c3d-trace truncate FILE --records=N --out=FILE2
- *       Copy the first N records into a new, valid trace.
- *   c3d-trace compose --out=MANIFEST TRACE TRACE...
- *       Materialize a multi-tenant colocation manifest: member
- *       traces pinned by content hash, seed recorded, replayable as
- *       `c3d-sweep --workloads=compose:MANIFEST` (docs/workloads.md).
- *
- * Exit status: 0 ok, 1 runtime/validation failure, 2 usage error.
+ * (docs/traces.md) and compositions named as `compose:MANIFEST`
+ * (docs/workloads.md); this tool produces and maintains that corpus.
+ * `c3d-trace --help` lists the subcommands and their flags.
  */
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,98 +26,47 @@ namespace
 
 using namespace c3d;
 
-const char *const Usage =
-    "c3d-trace: record, inspect, validate, and trim c3dsim traces\n"
-    "\n"
-    "subcommands:\n"
-    "  record --out=FILE [--profile=NAME] [--cores=N] [--ops=N]\n"
-    "         [--seed=N] [--scale=N] [--cores-per-socket=N]\n"
-    "      capture a synthetic profile into a trace file\n"
-    "      (--profile default facesim; --cores default 8; --ops =\n"
-    "      records per core, default 10000; --seed 0 keeps the\n"
-    "      profile's own seed; --scale default 256 shrinks the\n"
-    "      footprint like a --quick sweep)\n"
-    "  info FILE [--json]\n"
-    "      print header, per-core stats, content hash; --json emits\n"
-    "      one machine-readable object\n"
-    "  validate FILE   streaming validation; exit 1 on any defect\n"
-    "  truncate FILE --records=N --out=FILE2\n"
-    "      copy the first N records into a new trace\n"
-    "  compose --out=MANIFEST [--name=NAME] [--seed=N]\n"
-    "          [--assign=block|interleave]\n"
-    "          [--arrival=fixed|poisson|staggered]\n"
-    "          [--arrival-mean-gap=N] [--stagger-gap=N]\n"
-    "          [--phase-period=N] [--phase-skip=N] TRACE TRACE...\n"
-    "      write a multi-tenant colocation manifest (>= 2 member\n"
-    "      traces, each pinned by content hash; --phase-* apply to\n"
-    "      every tenant); replay with\n"
-    "      c3d-sweep --workloads=compose:MANIFEST\n";
-
-int
-usageError(const std::string &message)
-{
-    std::fprintf(stderr, "c3d-trace: %s\n%s", message.c_str(), Usage);
-    return 2;
-}
+constexpr const char *Tool = "c3d-trace";
 
 int
 runRecord(int argc, char **argv)
 {
     std::string profile_name = "facesim";
     std::string out;
-    std::uint64_t cores = 8;
+    std::uint32_t cores = 8;
     std::uint64_t ops = 10000;
     std::uint64_t seed = 0;
-    std::uint64_t scale = 256;
-    std::uint64_t cores_per_socket = 0;
-
-    for (int i = 2; i < argc; ++i) {
-        std::string key, value;
-        if (!splitFlag(argv[i], key, value))
-            return usageError(std::string("unexpected argument '") +
-                              argv[i] + "'");
-        if (key == "help") {
-            std::fputs(Usage, stdout);
-            return 0;
-        } else if (key == "profile") {
-            profile_name = value;
-        } else if (key == "out") {
-            out = value;
-        } else if (key == "cores") {
-            if (!parseU64(value, cores) || cores < 1 || cores > 4096)
-                return usageError("bad --cores (want 1..4096)");
-        } else if (key == "ops") {
-            if (!parseU64(value, ops) || ops < 1)
-                return usageError("bad --ops");
-        } else if (key == "seed") {
-            if (!parseU64(value, seed))
-                return usageError("bad --seed");
-        } else if (key == "scale") {
-            if (!parseU64(value, scale) || scale < 1)
-                return usageError("bad --scale");
-        } else if (key == "cores-per-socket") {
-            if (!parseU64(value, cores_per_socket))
-                return usageError("bad --cores-per-socket");
-        } else {
-            return usageError("unknown flag '--" + key + "'");
-        }
-    }
+    std::uint32_t scale = 256;
+    std::uint32_t cores_per_socket = 0;
+    FlagTable flags("c3d-trace record: capture a synthetic profile into "
+                    "a trace file (same flags, byte-identical file)");
+    flags.text("out", "FILE", "trace file to write (required)", out)
+        .text("profile", "NAME", "profile to capture (default facesim)",
+              profile_name)
+        .number("cores", "cores to capture (default 8)", cores, 1, 4096)
+        .number("ops", "records per core (default 10000)", ops, 1)
+        .number("seed", "profile RNG seed; 0 keeps the profile's own",
+                seed)
+        .number("scale",
+                "footprint shrink, like a --quick sweep (default 256)",
+                scale, 1)
+        .number("cores-per-socket",
+                "socket shape the profile sees (default 0 = 8)",
+                cores_per_socket);
+    if (const auto rc = flags.parseArgs(argc, argv, Tool, 2))
+        return *rc;
     if (out.empty())
-        return usageError("record needs --out=FILE");
+        return flags.usageError(Tool, "record needs --out=FILE");
 
     WorkloadProfile profile = profileByName(profile_name);
     if (seed)
         profile.seed = seed;
-    SyntheticWorkload wl(
-        profile.scaled(static_cast<std::uint32_t>(scale)),
-        static_cast<std::uint32_t>(cores),
-        cores_per_socket ? static_cast<std::uint32_t>(cores_per_socket)
-                         : 8);
+    SyntheticWorkload wl(profile.scaled(scale), cores,
+                         cores_per_socket ? cores_per_socket : 8);
 
     // Round-robin capture: op i of every core before op i+1 of any,
     // so the interleaving (and thus the file) is deterministic.
-    const std::uint32_t active =
-        wl.activeCores(static_cast<std::uint32_t>(cores));
+    const std::uint32_t active = wl.activeCores(cores);
     TraceFileWriter writer(out, active);
     for (std::uint64_t i = 0; i < ops; ++i) {
         for (std::uint32_t c = 0; c < active; ++c) {
@@ -172,25 +103,17 @@ runRecord(int argc, char **argv)
 int
 runInfo(int argc, char **argv)
 {
-    std::string path;
+    std::vector<std::string> file;
     bool json = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json") {
-            json = true;
-        } else if (arg == "--help") {
-            std::fputs(Usage, stdout);
-            return 0;
-        } else if (arg.rfind("--", 0) == 0) {
-            return usageError("unknown flag '" + arg + "'");
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            return usageError("info takes exactly one FILE");
-        }
-    }
-    if (path.empty())
-        return usageError("info takes exactly one FILE");
+    FlagTable flags("c3d-trace info FILE: print header, per-core stats, "
+                    "content hash");
+    flags.positional("FILE", "trace file to inspect", file, 1)
+        .flag("json", "emit one machine-readable object", json);
+    if (const auto rc = flags.parseArgs(argc, argv, Tool, 2))
+        return *rc;
+    if (file.empty())
+        return flags.usageError(Tool, "info takes exactly one FILE");
+    const std::string &path = file[0];
 
     TraceFileInfo info;
     std::string error;
@@ -265,37 +188,23 @@ runValidate(const std::string &path)
 int
 runTruncate(int argc, char **argv)
 {
-    std::string in, out;
+    std::vector<std::string> in;
     std::uint64_t keep = 0;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            if (!in.empty())
-                return usageError("truncate takes one input file");
-            in = arg;
-            continue;
-        }
-        std::string key, value;
-        splitFlag(arg, key, value);
-        if (key == "help") {
-            std::fputs(Usage, stdout);
-            return 0;
-        } else if (key == "records") {
-            if (!parseU64(value, keep) || keep < 1)
-                return usageError("bad --records");
-        } else if (key == "out") {
-            out = value;
-        } else {
-            return usageError("unknown flag '--" + key + "'");
-        }
-    }
+    std::string out;
+    FlagTable flags("c3d-trace truncate FILE: copy the first N records "
+                    "into a new trace");
+    flags.positional("FILE", "trace file to read", in, 1)
+        .number("records", "records to keep (required)", keep, 1)
+        .text("out", "FILE2", "trace file to write (required)", out);
+    if (const auto rc = flags.parseArgs(argc, argv, Tool, 2))
+        return *rc;
     if (in.empty() || out.empty() || keep == 0)
-        return usageError(
-            "truncate needs FILE, --records=N, and --out=FILE2");
+        return flags.usageError(
+            Tool, "truncate needs FILE, --records=N, and --out=FILE2");
 
     TraceFileInfo out_info;
     std::string error;
-    if (!truncateTraceFile(in, out, keep, error, &out_info)) {
+    if (!truncateTraceFile(in[0], out, keep, error, &out_info)) {
         std::fprintf(stderr, "c3d-trace: %s\n", error.c_str());
         return 1;
     }
@@ -313,63 +222,49 @@ runCompose(int argc, char **argv)
     std::string out;
     std::uint64_t phase_period = 0, phase_skip = 0;
     std::vector<std::string> traces;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            traces.push_back(arg);
-            continue;
-        }
-        std::string key, value;
-        splitFlag(arg, key, value);
-        if (key == "help") {
-            std::fputs(Usage, stdout);
-            return 0;
-        } else if (key == "out") {
-            out = value;
-        } else if (key == "name") {
-            spec.name = value;
-        } else if (key == "seed") {
-            if (!parseU64(value, spec.seed))
-                return usageError("bad --seed");
-        } else if (key == "assign") {
-            if (!parseAssignPolicy(value, spec.assignment))
-                return usageError(
-                    "bad --assign (want block|interleave)");
-        } else if (key == "arrival") {
-            if (!parseArrivalProcess(value, spec.arrival))
-                return usageError(
-                    "bad --arrival (want fixed|poisson|staggered)");
-        } else if (key == "arrival-mean-gap") {
-            if (!parseU64(value, spec.arrivalMeanGap))
-                return usageError("bad --arrival-mean-gap");
-        } else if (key == "stagger-gap") {
-            if (!parseU64(value, spec.staggerGap))
-                return usageError("bad --stagger-gap");
-        } else if (key == "phase-period") {
-            if (!parseU64(value, phase_period))
-                return usageError("bad --phase-period");
-        } else if (key == "phase-skip") {
-            if (!parseU64(value, phase_skip))
-                return usageError("bad --phase-skip");
-        } else {
-            return usageError("unknown flag '--" + key + "'");
-        }
-    }
+    FlagTable flags("c3d-trace compose TRACE TRACE...: write a multi-tenant "
+                    "colocation manifest, each member pinned by content "
+                    "hash; replay with c3d-sweep "
+                    "--workloads=compose:MANIFEST");
+    flags.positional("TRACE...", "member traces (at least two)", traces)
+        .text("out", "MANIFEST", "manifest to write (required)", out)
+        .text("name", "NAME", "composition name (default composition)",
+              spec.name)
+        .number("seed", "arrival-process seed (default 1)", spec.seed)
+        .mapped("assign", "block|interleave",
+                "core assignment of tenants (default block)",
+                spec.assignment, parseAssignPolicy,
+                "unknown --assign policy")
+        .mapped("arrival", "fixed|poisson|staggered",
+                "tenant arrival process (default fixed)", spec.arrival,
+                parseArrivalProcess, "unknown --arrival process")
+        .number("arrival-mean-gap", "mean gap of --arrival=poisson",
+                spec.arrivalMeanGap)
+        .number("stagger-gap", "gap of --arrival=staggered",
+                spec.staggerGap)
+        .number("phase-period",
+                "every tenant's phase period in ops (0 = none)",
+                phase_period)
+        .number("phase-skip", "ops skipped per phase (needs "
+                "--phase-period)", phase_skip);
+    if (const auto rc = flags.parseArgs(argc, argv, Tool, 2))
+        return *rc;
     if (out.empty())
-        return usageError("compose needs --out=MANIFEST");
+        return flags.usageError(Tool, "compose needs --out=MANIFEST");
     if (traces.size() < 2)
-        return usageError(
-            "compose needs at least two member TRACE files");
+        return flags.usageError(
+            Tool, "compose needs at least two member TRACE files");
     if (phase_skip && !phase_period)
-        return usageError("--phase-skip needs --phase-period");
+        return flags.usageError(Tool,
+                                "--phase-skip needs --phase-period");
     if (spec.arrival == ArrivalProcess::Poisson &&
         spec.arrivalMeanGap == 0)
-        return usageError("--arrival=poisson needs "
-                          "--arrival-mean-gap");
+        return flags.usageError(
+            Tool, "--arrival=poisson needs --arrival-mean-gap");
     if (spec.arrival == ArrivalProcess::Staggered &&
         spec.staggerGap == 0)
-        return usageError("--arrival=staggered needs --stagger-gap");
+        return flags.usageError(
+            Tool, "--arrival=staggered needs --stagger-gap");
 
     std::string error;
     for (const std::string &trace : traces) {
@@ -382,8 +277,10 @@ runCompose(int argc, char **argv)
                          out.c_str(), trace.c_str());
             return 1;
         }
+        // Written relative to the manifest's directory, which is
+        // where loadComposition resolves it.
         TenantSpec tenant;
-        tenant.tracePath = trace;
+        tenant.tracePath = manifestMemberPath(out, trace);
         tenant.phasePeriodOps = phase_period;
         tenant.phaseSkipOps = phase_skip;
         TraceFileInfo info;
@@ -412,10 +309,9 @@ runCompose(int argc, char **argv)
         return 1;
     }
 
-    // Revalidate through the real loader (member paths resolve
-    // against the manifest's directory, so a manifest written away
-    // from its members with relative paths fails here, not at sweep
-    // time); a manifest that cannot load back is not kept.
+    // Revalidate through the real loader, so a member it cannot find
+    // from the manifest's directory fails here, not at sweep time; a
+    // manifest that cannot load back is not kept.
     CompositionSpec checked;
     if (!loadComposition(out, checked, error)) {
         std::fprintf(stderr,
@@ -436,6 +332,16 @@ runCompose(int argc, char **argv)
     return 0;
 }
 
+/** A subcommand-level usage error; the subcommands' flags are in
+ *  `c3d-trace --help`. */
+int
+usageError(const std::string &message)
+{
+    std::fprintf(stderr, "c3d-trace: %s (see c3d-trace --help)\n",
+                 message.c_str());
+    return 2;
+}
+
 } // namespace
 
 int
@@ -446,8 +352,19 @@ main(int argc, char **argv)
         return usageError("missing subcommand");
     const std::string cmd = argv[1];
     if (cmd == "--help" || cmd == "help") {
-        std::fputs(Usage, stdout);
-        return 0;
+        // Each subcommand prints its own generated help in turn.
+        std::printf("c3d-trace: record, inspect, validate, and trim "
+                    "c3dsim traces\n(exit status: 0 ok, 1 runtime or "
+                    "validation failure, 2 usage error)\n\n");
+        char help[] = "--help";
+        char *args[] = {argv[0], argv[1], help};
+        for (const auto run : {runRecord, runInfo, runTruncate}) {
+            run(3, args);
+            std::printf("\n");
+        }
+        std::printf("c3d-trace validate FILE: streaming validation; "
+                    "exit 1 on any defect\n\n");
+        return runCompose(3, args);
     }
     if (cmd == "record")
         return runRecord(argc, argv);
