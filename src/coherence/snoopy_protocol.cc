@@ -247,7 +247,7 @@ SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
 
     if (targets.empty() && !plan.withMemoryRead) {
         // Single-socket machines only (othersThan(req) is never
-        // empty otherwise), so this stays on the sequential kernel;
+        // empty otherwise), so this runs on the shared-queue layout;
         // still pin to the home queue for uniformity.
         queueAt(home).schedule(0, [join] { join->tryComplete(); });
     }

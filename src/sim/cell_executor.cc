@@ -13,12 +13,9 @@ CellExecutor::CellExecutor(Machine &machine, unsigned num_threads)
     : m(machine),
       numThreads(std::max(1u,
                           std::min<unsigned>(num_threads,
-                                             machine.numSockets()))),
+                                             machine.numQueues()))),
       cellW(machine.cellWidth())
 {
-    c3d_assert(m.kernelMode() == KernelMode::MultiQueue,
-               "CellExecutor needs a MultiQueue machine");
-    c3d_assert(cellW > 0, "cell executor needs a hop latency");
 }
 
 void
@@ -70,7 +67,8 @@ CellExecutor::recordFault(std::exception_ptr e)
 void
 CellExecutor::workerLoop(unsigned wid, const BoundaryHook &boundary)
 {
-    const std::uint32_t sockets = m.numSockets();
+    const std::uint32_t nq = m.numQueues();
+    const bool staged = m.queueRouter().multiQueue();
     while (true) {
         // Execute this worker's queues through the current cell.
         // Causal closure makes the per-socket order irrelevant.
@@ -80,7 +78,7 @@ CellExecutor::workerLoop(unsigned wid, const BoundaryHook &boundary)
         if (!faulted.load(std::memory_order_acquire)) {
             try {
                 const Tick cell_end = cellBase + cellW - 1;
-                for (SocketId s = wid; s < sockets; s += numThreads)
+                for (SocketId s = wid; s < nq; s += numThreads)
                     m.queueAt(s).run(cell_end);
             } catch (...) {
                 recordFault(std::current_exception());
@@ -124,9 +122,11 @@ CellExecutor::workerLoop(unsigned wid, const BoundaryHook &boundary)
         // Flush the sealed parity into the queues this worker owns.
         // Nobody else touches them: flushTo(dst) runs only on dst's
         // owner, and the next parity flip waits for every worker at
-        // the next barrier.
-        for (SocketId s = wid; s < sockets; s += numThreads)
-            m.queueRouter().flushTo(s, flushParity);
+        // the next barrier. The shared layout stages nothing.
+        if (staged) {
+            for (SocketId s = wid; s < nq; s += numThreads)
+                m.queueRouter().flushTo(s, flushParity);
+        }
     }
 }
 
@@ -147,7 +147,7 @@ CellExecutor::masterStep(const BoundaryHook &boundary)
     // Cell skip: jump straight to the cell holding the earliest
     // pending event, including the deliveries staged this cell.
     Tick min_next = router.minPending(router.currentParity());
-    for (SocketId s = 0; s < m.numSockets(); ++s) {
+    for (SocketId s = 0; s < m.numQueues(); ++s) {
         Tick t;
         if (m.queueAt(s).peekNextTick(t))
             min_next = std::min(min_next, t);
@@ -155,7 +155,7 @@ CellExecutor::masterStep(const BoundaryHook &boundary)
 
     if (min_next == MaxTick) {
         if (!workDone) {
-            c3d_panic("parallel kernel drained at tick %llu with "
+            c3d_panic("event queues drained at tick %llu with "
                       "simulated work outstanding (lost wakeup?)",
                       static_cast<unsigned long long>(q));
         }

@@ -1,14 +1,20 @@
 /**
  * @file
- * Parallel per-socket kernel driver.
+ * The simulation driver: every run advances the machine's queues in
+ * lockstep cells of width W = Machine::cellWidth().
  *
- * Runs a MultiQueue Machine by advancing every socket's EventQueue in
- * lockstep cells of width W = Machine::cellWidth() (the minimum
- * cross-socket delivery latency). Within a cell [kW, (k+1)W) sockets
- * share nothing: cross-socket packets are staged in QueueRouter
- * outboxes and every staged arrival lies beyond the cell (a hop takes
- * at least W ticks), so the cell is causally closed and each worker
- * thread can execute its sockets' queues without synchronizing.
+ * On the MultiQueue layout each socket has its own queue and W is
+ * the minimum cross-socket delivery latency. Within a cell
+ * [kW, (k+1)W) sockets share nothing: cross-socket packets are
+ * staged in QueueRouter outboxes and every staged arrival lies
+ * beyond the cell (a hop takes at least W ticks), so the cell is
+ * causally closed and each worker thread can execute its sockets'
+ * queues without synchronizing.
+ *
+ * On the SingleQueue layout every socket shares one queue, so there
+ * is one worker and nothing is staged: cross-socket sends land in
+ * the shared queue directly, whatever their delay. The cells then
+ * only set when the boundary work below happens.
  *
  * One barrier per cell. The last thread to arrive is the master for
  * that boundary; it runs, single-threaded:
@@ -51,7 +57,7 @@
 namespace c3d
 {
 
-/** Lockstep-cell driver for a MultiQueue machine. */
+/** Lockstep-cell driver for a Machine of either queue layout. */
 class CellExecutor
 {
   public:
@@ -66,9 +72,11 @@ class CellExecutor
     using BoundaryHook = std::function<bool(Tick q)>;
 
     /**
-     * @param machine a KernelMode::MultiQueue machine
-     * @param num_threads worker threads; clamped to [1, numSockets].
-     *        Worker j owns sockets {s : s % T == j}.
+     * @param machine the machine to drive (either layout)
+     * @param num_threads worker threads; clamped to [1, numQueues]
+     *        so workers never share a queue (one worker on the
+     *        SingleQueue layout). Worker j owns queues
+     *        {s : s % T == j}.
      */
     CellExecutor(Machine &machine, unsigned num_threads);
 

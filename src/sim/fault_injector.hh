@@ -28,9 +28,9 @@
  *    (those only run between events); only the sibling wall-clock
  *    watchdog (runWithSiblingWatchdog) can contain it.
  *
- * Determinism: under the sequential kernels (single-queue and the
- * MultiQueue 1-worker oracle) send order is fully deterministic, so
- * a plan trips at the same packet, the same tick, with the same
+ * Determinism: on one executor worker (the shared-queue layout, or
+ * the MultiQueue 1-worker oracle) send order is fully deterministic,
+ * so a plan trips at the same packet, the same tick, with the same
  * diagnostic, every run. `parallelOnly` plans arm only when the
  * parallel kernel actually drives the run -- the hook that lets
  * tests exercise --fail-policy=retry's sequential-fallback ladder

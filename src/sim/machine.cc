@@ -1,11 +1,13 @@
 #include "sim/machine.hh"
 
+#include <algorithm>
+
 namespace c3d
 {
 
 Machine::Machine(const SystemConfig &config, KernelMode kernel_mode)
     : cfg(config), mode(kernel_mode),
-      cellW(cfg.zeroHopLatency ? 0 : cfg.hopLatency),
+      cellW(std::max<Tick>(1, cfg.hopLatency)),
       statGroup("machine")
 {
     if (mode == KernelMode::MultiQueue) {

@@ -2,7 +2,8 @@
  * @file
  * The simulated NUMA machine: sockets, interconnect, page mapper,
  * page classifier, and the selected inter-socket coherence protocol,
- * all sharing one event queue and stat registry.
+ * all sharing one stat registry and one event-queue layout
+ * (KernelMode).
  *
  * The machine is the hardware only; trace CPUs and workloads attach
  * via sim/runner.hh.
@@ -30,16 +31,18 @@ namespace c3d
 {
 
 /**
- * Which kernel drives the machine.
+ * How the machine's events are laid out over queues. Either layout
+ * runs under the one cell executor (sim/cell_executor.hh); the
+ * layout only decides what the executor's workers can share.
  *
- * SingleQueue is the classic sequential kernel: one EventQueue for
- * the whole machine. MultiQueue gives every socket its own queue so
- * the cell executor (sim/cell_executor.hh) can advance sockets on a
- * thread pool under conservative lookahead; running the MultiQueue
- * kernel with one worker is the sequential differential oracle for
- * the parallel runs. Directly constructed Machines default to
- * SingleQueue; the Runner opts eligible configurations into
- * MultiQueue (see Machine::parallelKernelEligible).
+ * SingleQueue puts every socket on one shared EventQueue: cross-
+ * socket sends land directly in it, so it needs no lookahead and the
+ * executor runs it on one worker. MultiQueue gives every socket its
+ * own queue, so the executor can advance sockets on a thread pool
+ * under conservative lookahead; one worker is the sequential
+ * differential oracle for the parallel runs. Directly constructed
+ * Machines default to SingleQueue; the Runner picks MultiQueue for
+ * the configurations that allow it (Machine::parallelKernelEligible).
  */
 enum class KernelMode
 {
@@ -62,9 +65,9 @@ class Machine
     KernelMode kernelMode() const { return mode; }
 
     /**
-     * The machine-wide queue of the sequential kernel. Meaningful
-     * only in SingleQueue mode; multi-queue callers must use
-     * queueAt()/queueRouter().
+     * The shared queue of the SingleQueue layout, for callers that
+     * drive a directly constructed Machine themselves. Multi-queue
+     * callers must use queueAt()/queueRouter().
      */
     EventQueue &
     eventQueue()
@@ -77,13 +80,26 @@ class Machine
 
     /** The queue events for socket @p s execute on (either mode). */
     EventQueue &queueAt(SocketId s) { return router_.at(s); }
+    /**
+     * Distinct queues: 1 (SingleQueue) or numSockets (MultiQueue);
+     * queue i is queueAt(i).
+     */
+    std::uint32_t
+    numQueues() const
+    {
+        return static_cast<std::uint32_t>(queues.size());
+    }
     QueueRouter &queueRouter() { return router_; }
 
     /**
-     * Conservative-lookahead cell width: the minimum cross-socket
-     * delivery latency (one hop). Every QueueRouter::inject lands at
-     * least this far in the future, so cells [kW, (k+1)W) are
-     * causally closed. MultiQueue mode only.
+     * Cell width of the executor: one hop, at least 1 tick. On the
+     * MultiQueue layout it is the conservative lookahead -- every
+     * QueueRouter::inject lands at least this far in the future, so
+     * cells [kW, (k+1)W) are causally closed. On the SingleQueue
+     * layout nothing crosses a queue, so the width only sets when
+     * the boundary work (warm-up reset, barrier release, first-touch
+     * commit) happens; the zero-hop idealization keeps its 0-tick
+     * hops in the interconnect.
      */
     Tick cellWidth() const { return cellW; }
 
@@ -91,16 +107,16 @@ class Machine
     Tick
     cellBoundaryAfter(Tick t) const
     {
-        c3d_assert(cellW > 0, "cell geometry needs a hop latency");
         return (t / cellW + 1) * cellW;
     }
 
     /**
-     * Whether @p config can run on the MultiQueue kernel: it needs
+     * Whether @p config can use the MultiQueue layout: it needs
      * ≥2 sockets (otherwise there is nothing to parallelize), a
      * non-zero hop latency (the lookahead window), and no TLB page
      * classification (a machine-global table serialized on every
-     * access). Ineligible configs run the classic sequential kernel.
+     * access). Ineligible configs share one queue and run on one
+     * executor worker.
      */
     static bool
     parallelKernelEligible(const SystemConfig &config)

@@ -3,11 +3,11 @@
  * Routing layer between the interconnect and the kernel's event
  * queue(s).
  *
- * The sequential kernel runs the whole machine on one EventQueue; the
- * parallel kernel gives each socket its own queue and advances them on
- * a thread pool under conservative lookahead (see docs/perf.md,
- * "Parallel per-socket kernel"). The QueueRouter hides that choice
- * from the interconnect: `at(s)` is the queue events for socket @p s
+ * The cell executor drives one of two queue layouts (KernelMode):
+ * every socket on one shared EventQueue, or one queue per socket
+ * advanced on a thread pool under conservative lookahead (see
+ * docs/perf.md, "The parallel per-socket kernel"). The QueueRouter
+ * hides that choice from the interconnect: `at(s)` is the queue events for socket @p s
  * execute on, and `inject(src, dst, when, cb)` is the one cross-socket
  * edge.
  *
@@ -51,7 +51,7 @@ class QueueRouter
     QueueRouter(const QueueRouter &) = delete;
     QueueRouter &operator=(const QueueRouter &) = delete;
 
-    /** Sequential kernel: every socket maps to the one queue. */
+    /** Shared layout: every socket maps to the one queue. */
     void
     initSingle(EventQueue &q, std::uint32_t num_sockets)
     {
@@ -59,7 +59,7 @@ class QueueRouter
         queues.assign(num_sockets, &q);
     }
 
-    /** Parallel kernel: one queue per socket, outboxes armed. */
+    /** Per-socket layout: one queue per socket, outboxes armed. */
     void
     initMulti(const std::vector<EventQueue *> &qs)
     {
@@ -85,10 +85,12 @@ class QueueRouter
 
     /**
      * Deliver @p cb to socket @p dst at absolute tick @p when. Must
-     * be called from the thread executing socket @p src (the
-     * sequential kernel trivially satisfies this). In multi-queue
-     * mode @p when must lie beyond the current lookahead cell; the
-     * cell executor asserts this when it flushes.
+     * be called from the thread executing socket @p src (the shared
+     * layout, with its one worker, trivially satisfies this). The
+     * shared layout schedules directly, so @p when may be this very
+     * tick (zero-hop). In multi-queue mode @p when must lie beyond
+     * the current lookahead cell; the cell executor asserts this
+     * when it flushes.
      */
     void
     inject(SocketId src, SocketId dst, Tick when,

@@ -85,65 +85,6 @@ Runner::enableTenantTracking(std::vector<std::int32_t> core_tenant,
 RunResult
 Runner::run(std::uint64_t warmup_ops, std::uint64_t measure_ops)
 {
-    if (m->kernelMode() == KernelMode::MultiQueue)
-        return runMultiQueue(warmup_ops, measure_ops);
-
-    const std::uint32_t total = m->config().totalCores();
-    const std::uint32_t active = workload.activeCores(total);
-
-    std::uint32_t warm_remaining = active;
-    std::uint32_t done_remaining = active;
-    Tick measure_start = 0;
-
-    const std::uint64_t barrier_interval = workload.barrierInterval();
-    if (barrier_interval && active > 1) {
-        barrier.init(active, &m->stats(), "barrier");
-        for (CoreId c = 0; c < active; ++c)
-            cpus[c]->setBarrier(&barrier, barrier_interval);
-    }
-
-    for (CoreId c = 0; c < total; ++c) {
-        const bool runs = c < active;
-        cpus[c]->start(
-            runs ? warmup_ops : 0, runs ? measure_ops : 0,
-            [this, &warm_remaining, &measure_start, runs] {
-                if (!runs)
-                    return;
-                if (--warm_remaining == 0) {
-                    // Last core crossed warm-up: open the window.
-                    m->stats().resetAll();
-                    measure_start = m->eventQueue().now();
-                }
-            },
-            [&done_remaining, runs] {
-                if (runs)
-                    --done_remaining;
-            });
-    }
-
-    // Idle cores also signal via their zero-op paths; the warm/done
-    // callbacks above ignore them.
-    EventQueue &eq = m->eventQueue();
-    while (done_remaining > 0) {
-        if (!eq.step()) {
-            c3d_panic("event queue drained at tick %llu with %u "
-                      "cores unfinished (lost wakeup?)",
-                      static_cast<unsigned long long>(eq.now()),
-                      done_remaining);
-        }
-    }
-    const Tick end = eq.now();
-    // Let in-flight writebacks and probes quiesce (their traffic
-    // belongs to the measured work).
-    eq.run();
-
-    return collectResult(end - measure_start);
-}
-
-RunResult
-Runner::runMultiQueue(std::uint64_t warmup_ops,
-                      std::uint64_t measure_ops)
-{
     const SystemConfig &cfg = m->config();
     const std::uint32_t total = cfg.totalCores();
     const std::uint32_t active = workload.activeCores(total);
@@ -159,7 +100,6 @@ Runner::runMultiQueue(std::uint64_t warmup_ops,
     const bool use_barrier = barrier_interval && active > 1;
     if (use_barrier) {
         barrier.init(active, &m->stats(), "barrier");
-        barrier.enableQuantized();
         for (CoreId c = 0; c < active; ++c)
             cpus[c]->setBarrier(&barrier, barrier_interval);
     }
@@ -186,13 +126,12 @@ Runner::runMultiQueue(std::uint64_t warmup_ops,
             });
     }
 
+    // The executor clamps the thread count to the machine's queues.
     unsigned threads = 1;
     if (opts.kernel.parallel) {
         threads = opts.kernel.threads
             ? opts.kernel.threads
-            : std::max(1u, std::min<unsigned>(
-                               cfg.numSockets,
-                               std::thread::hardware_concurrency()));
+            : std::thread::hardware_concurrency();
     }
 
     CellExecutor exec(*m, threads);

@@ -88,18 +88,19 @@ struct RunResult
 };
 
 /**
- * Kernel selection for a run.
+ * Worker threads for a run.
  *
- * Eligible configurations (Machine::parallelKernelEligible) always
- * run on the multi-queue kernel; `parallel` only chooses how many
- * worker threads drive it. The default (1 thread) executes the exact
- * event sequence the parallel run must reproduce — it is the
- * sequential differential oracle. Ineligible configurations fall back
- * to the classic single-queue kernel regardless of these options.
+ * Every run goes through the cell executor; the config alone picks
+ * its queue layout (Machine::parallelKernelEligible). `parallel` only
+ * chooses how many worker threads drive it. The default (1 thread)
+ * executes the exact event sequence the parallel run must reproduce
+ * -- it is the sequential differential oracle. The executor clamps
+ * the threads to the queue count, so configs on the shared-queue
+ * layout always run on one worker.
  */
 struct KernelOptions
 {
-    bool parallel = false; //!< drive eligible configs with a pool
+    bool parallel = false; //!< drive the run with a worker pool
     /** Worker threads; 0 = min(numSockets, hardware threads). */
     unsigned threads = 0;
 };
@@ -161,8 +162,6 @@ class Runner
     }
 
   private:
-    RunResult runMultiQueue(std::uint64_t warmup_ops,
-                            std::uint64_t measure_ops);
     RunResult collectResult(Tick measured_ticks);
 
     std::unique_ptr<Machine> m;

@@ -22,9 +22,9 @@
  * the row.
  *
  * Stall-detector determinism: the same-tick run length is counted
- * per queue in execution order, so under the sequential kernel (and
- * the 1-worker oracle) the trip point and its diagnostic are exactly
- * reproducible. Wall-clock trips are inherently timing-dependent;
+ * per queue in execution order, so on one executor worker (every
+ * shared-queue run and the 1-worker oracle) the trip point and its
+ * diagnostic are exactly reproducible. Wall-clock trips are inherently timing-dependent;
  * they exist as a last-resort budget, not a differential surface.
  *
  * All of the above is *in-band*: the budgets are checked between

@@ -143,12 +143,26 @@ TEST(Barrier, ReleasesWhenAllArrive)
     StatGroup g("t");
     Barrier b;
     b.init(3, &g, "b");
-    int released = 0;
-    b.arrive(0, [&] { ++released; });
-    b.arrive(0, [&] { ++released; });
-    EXPECT_EQ(released, 0);
-    b.arrive(0, [&] { ++released; });
-    EXPECT_EQ(released, 3);
+    EventQueue eq;
+    auto queue_of = [&](CoreId) -> EventQueue & { return eq; };
+    std::vector<CoreId> order;
+    b.arrive(2, [&] { order.push_back(2); });
+    b.arrive(0, [&] { order.push_back(0); });
+    EXPECT_FALSE(b.quantRelease(10, queue_of));
+    eq.run();
+    EXPECT_TRUE(order.empty());
+    EXPECT_EQ(b.waitingCount(), 2u);
+
+    b.arrive(1, [&] { order.push_back(1); });
+    EXPECT_TRUE(b.quantRelease(10, queue_of));
+    // Resumes are scheduled at the boundary tick, not run inline,
+    // and run in ascending core order.
+    EXPECT_TRUE(order.empty());
+    EXPECT_EQ(b.waitingCount(), 0u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<CoreId>{0, 1, 2}));
+    EXPECT_EQ(eq.now(), 10u);
+    EXPECT_EQ(g.valueOf("b.episodes"), 1u);
 }
 
 TEST(Barrier, Reusable)
@@ -156,12 +170,19 @@ TEST(Barrier, Reusable)
     StatGroup g("t");
     Barrier b;
     b.init(2, &g, "b");
+    EventQueue eq;
+    auto queue_of = [&](CoreId) -> EventQueue & { return eq; };
     int released = 0;
-    b.arrive(0, [&] { ++released; });
-    b.arrive(0, [&] { ++released; });
-    b.arrive(0, [&] { ++released; });
-    b.arrive(0, [&] { ++released; });
+    for (Tick q : {10u, 20u}) {
+        b.arrive(0, [&] { ++released; });
+        b.arrive(1, [&] { ++released; });
+        EXPECT_TRUE(b.quantRelease(q, queue_of));
+        eq.run();
+    }
     EXPECT_EQ(released, 4);
+    EXPECT_EQ(g.valueOf("b.episodes"), 2u);
+    // Nobody waiting: a boundary releases nothing.
+    EXPECT_FALSE(b.quantRelease(30, queue_of));
 }
 
 TEST(Barrier, RetireUnblocksWaiters)
@@ -169,13 +190,18 @@ TEST(Barrier, RetireUnblocksWaiters)
     StatGroup g("t");
     Barrier b;
     b.init(3, &g, "b");
+    EventQueue eq;
+    auto queue_of = [&](CoreId) -> EventQueue & { return eq; };
     int released = 0;
     b.arrive(0, [&] { ++released; });
-    b.arrive(0, [&] { ++released; });
+    b.arrive(1, [&] { ++released; });
+    EXPECT_FALSE(b.quantRelease(10, queue_of));
     // Third party finishes its quota instead of arriving.
     b.retire();
-    EXPECT_EQ(released, 2);
     EXPECT_EQ(b.parties(), 2u);
+    EXPECT_TRUE(b.quantRelease(20, queue_of));
+    eq.run();
+    EXPECT_EQ(released, 2);
 }
 
 TEST(Barrier, CpusSynchronizeThroughBarrier)
@@ -212,9 +238,21 @@ TEST(Barrier, CpusSynchronizeThroughBarrier)
     Tick f0 = 0, f1 = 0;
     cpu0.start(0, 100, nullptr, [&] { f0 = m.eventQueue().now(); });
     cpu1.start(0, 100, nullptr, [&] { f1 = m.eventQueue().now(); });
-    m.eventQueue().run();
+
+    // Play the cell executor: run each cell, then release the
+    // barrier at the boundary.
+    EventQueue &eq = m.eventQueue();
+    const Tick w = m.cellWidth();
+    for (Tick q = w; f0 == 0 || f1 == 0; q += w) {
+        eq.run(q - 1);
+        barrier.quantRelease(
+            q, [&](CoreId) -> EventQueue & { return eq; });
+        ASSERT_TRUE(eq.pending() > 0 || (f0 && f1))
+            << "drained with cores unfinished at tick " << q;
+    }
     ASSERT_GT(f0, 0u);
     ASSERT_GT(f1, 0u);
+    EXPECT_GE(m.stats().valueOf("b.episodes"), 9u);
     // Within one barrier interval of each other.
     const double ratio = static_cast<double>(std::max(f0, f1)) /
         static_cast<double>(std::min(f0, f1));

@@ -15,9 +15,11 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/log.hh"
 #include "exp/sweep_engine.hh"
+#include "sim/cell_executor.hh"
 #include "sim/runner.hh"
 #include "test_helpers.hh"
 #include "trace/trace_file.hh"
@@ -183,32 +185,60 @@ TEST(ParallelKernel, ComposedTenantRowsMatchIncludingQosColumns)
     std::remove(trace_b.c_str());
 }
 
-TEST(ParallelKernel, IneligibleConfigsFallBackToSingleQueue)
+void
+expectSameRunResult(const RunResult &a, const RunResult &b)
 {
-    // Single-socket machines have no cross-socket lookahead to
-    // exploit; requesting the parallel kernel must quietly run the
-    // classic single-queue kernel rather than fail.
-    SystemConfig cfg = test::tinyConfig(Design::C3D, /*sockets=*/1,
-                                        /*cores_per_socket=*/2);
-    ASSERT_FALSE(Machine::parallelKernelEligible(cfg));
-    WorkloadProfile prof = test::tinyProfile("fallback");
-
-    KernelOptions par;
-    par.parallel = true;
-    par.threads = 4;
-    const RunResult a =
-        runWorkload(cfg, prof, 100, 400, KernelOptions{});
-    const RunResult b = runWorkload(cfg, prof, 100, 400, par);
     EXPECT_EQ(a.measuredTicks, b.measuredTicks);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.memReads, b.memReads);
     EXPECT_EQ(a.memWrites, b.memWrites);
+    EXPECT_EQ(a.remoteMemReads, b.remoteMemReads);
+    EXPECT_EQ(a.remoteMemWrites, b.remoteMemWrites);
+    EXPECT_EQ(a.dramCacheHits, b.dramCacheHits);
+    EXPECT_EQ(a.dramCacheMisses, b.dramCacheMisses);
+    EXPECT_EQ(a.llcMisses, b.llcMisses);
+    EXPECT_EQ(a.interSocketBytes, b.interSocketBytes);
+    EXPECT_EQ(a.broadcasts, b.broadcasts);
+    EXPECT_EQ(a.broadcastsElided, b.broadcastsElided);
+    EXPECT_EQ(a.tenants.size(), b.tenants.size());
+}
 
-    // Zero hop latency collapses the lookahead window to nothing;
-    // also ineligible.
+TEST(ParallelKernel, IneligibleConfigsRunOnOneSharedQueue)
+{
+    // Configs without a usable lookahead share one queue, so the
+    // executor runs them on one worker whatever --parallel-kernel
+    // asks for, and reproduces the default run exactly.
+    SystemConfig one = test::tinyConfig(Design::C3D, /*sockets=*/1,
+                                        /*cores_per_socket=*/2);
+    // Zero hop latency collapses the lookahead window to nothing.
     SystemConfig zero = test::tinyConfig(Design::C3D, 4, 2);
     zero.zeroHopLatency = true;
-    EXPECT_FALSE(Machine::parallelKernelEligible(zero));
+    // TLB classification touches one machine-global table.
+    SystemConfig tlb = test::tinyConfig(Design::C3D, 4, 2);
+    tlb.tlbPageClassification = true;
+
+    WorkloadProfile prof = test::tinyProfile("fallback");
+    prof.barrierOps = 100; // exercise boundary-released barriers
+
+    KernelOptions par;
+    par.parallel = true;
+    par.threads = 4;
+    const std::pair<const char *, SystemConfig> cases[] = {
+        {"1-socket", one}, {"zero-hop", zero}, {"tlb", tlb}};
+    for (const auto &[label, cfg] : cases) {
+        SCOPED_TRACE(label);
+        ASSERT_FALSE(Machine::parallelKernelEligible(cfg));
+        Machine m(cfg);
+        EXPECT_EQ(m.numQueues(), 1u);
+        EXPECT_EQ(CellExecutor(m, 4).threads(), 1u);
+
+        const RunResult a =
+            runWorkload(cfg, prof, 100, 400, KernelOptions{});
+        const RunResult b = runWorkload(cfg, prof, 100, 400, par);
+        EXPECT_GT(a.measuredTicks, 0u);
+        EXPECT_GT(a.instructions, 0u);
+        expectSameRunResult(a, b);
+    }
 }
 
 TEST(ParallelKernel, ThreadCountDoesNotChangeEligibleRunResults)
@@ -227,18 +257,8 @@ TEST(ParallelKernel, ThreadCountDoesNotChangeEligibleRunResults)
         KernelOptions k;
         k.parallel = true;
         k.threads = t;
-        const RunResult r = runWorkload(cfg, prof, 200, 800, k);
-        EXPECT_EQ(ref.measuredTicks, r.measuredTicks) << t;
-        EXPECT_EQ(ref.instructions, r.instructions) << t;
-        EXPECT_EQ(ref.memReads, r.memReads) << t;
-        EXPECT_EQ(ref.memWrites, r.memWrites) << t;
-        EXPECT_EQ(ref.remoteMemReads, r.remoteMemReads) << t;
-        EXPECT_EQ(ref.remoteMemWrites, r.remoteMemWrites) << t;
-        EXPECT_EQ(ref.dramCacheHits, r.dramCacheHits) << t;
-        EXPECT_EQ(ref.dramCacheMisses, r.dramCacheMisses) << t;
-        EXPECT_EQ(ref.llcMisses, r.llcMisses) << t;
-        EXPECT_EQ(ref.interSocketBytes, r.interSocketBytes) << t;
-        EXPECT_EQ(ref.broadcasts, r.broadcasts) << t;
+        SCOPED_TRACE(t);
+        expectSameRunResult(ref, runWorkload(cfg, prof, 200, 800, k));
     }
 }
 

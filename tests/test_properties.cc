@@ -191,8 +191,9 @@ TEST_P(HopLatencySweep, BaselineSlowsWithHopLatency)
     // Store for cross-parameter comparison via static state.
     static std::uint64_t last_latency = 0;
     static Tick last_ticks = 0;
-    if (last_latency && GetParam() > last_latency)
+    if (last_latency && GetParam() > last_latency) {
         EXPECT_GE(r.measuredTicks, last_ticks);
+    }
     last_latency = GetParam();
     last_ticks = r.measuredTicks;
 }

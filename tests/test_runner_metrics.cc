@@ -91,10 +91,12 @@ checkInvariants(const SystemConfig &cfg, const RunResult &r,
 
     // The broadcast filter only fires when the TLB classification
     // is enabled (and only C3D designs broadcast invalidations).
-    if (!cfg.tlbPageClassification)
+    if (!cfg.tlbPageClassification) {
         EXPECT_EQ(r.broadcastsElided, 0u);
-    if (!cfg.cleanDramCache())
+    }
+    if (!cfg.cleanDramCache()) {
         EXPECT_EQ(r.broadcastsElided, 0u);
+    }
 
     // Memory traffic is bounded by work performed: each reference
     // is one instruction, and writebacks can at most double it.

@@ -207,9 +207,10 @@ TEST(TagArray, CapacityWorkingSetFits)
     t.init(256 * BlockBytes, 4);
     for (int pass = 0; pass < 3; ++pass) {
         for (std::uint64_t i = 0; i < 256; ++i) {
-            if (pass > 0)
+            if (pass > 0) {
                 EXPECT_NE(t.find(blockAddr(i)), nullptr)
                     << "block " << i << " pass " << pass;
+            }
             t.allocate(blockAddr(i), CacheState::Shared);
         }
     }
