@@ -8,18 +8,27 @@
  * Blocking directories are a common commercial design point and keep
  * the transient-state space small enough to verify exhaustively (the
  * model checker in src/check covers the same machines).
+ *
+ * Every coherence transaction passes through here, so the table is
+ * allocation-free in steady state: the locked blocks live in an
+ * open-addressed BlockMap, an uncontended acquire runs its start
+ * callable inline without storing it, and only a conflicting
+ * transaction's start is stored -- as an EventQueue::Callback in a
+ * pooled waiter node, chained into the block's FIFO through an
+ * intrusive next pointer.
  */
 
 #ifndef C3DSIM_COHERENCE_BLOCKING_HH
 #define C3DSIM_COHERENCE_BLOCKING_HH
 
-#include <deque>
-#include <functional>
-#include <unordered_map>
+#include <utility>
 
+#include "common/block_map.hh"
 #include "common/log.hh"
+#include "common/pool.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/event_queue.hh"
 
 namespace c3d
 {
@@ -28,7 +37,8 @@ namespace c3d
 class BlockingTable
 {
   public:
-    using Start = std::function<void()>;
+    /** A queued transaction's start continuation. */
+    using Start = EventQueue::Callback;
 
     void
     init(StatGroup *stats, const std::string &name)
@@ -41,21 +51,30 @@ class BlockingTable
 
     /**
      * Acquire the block for a transaction. If the block is free the
-     * transaction starts immediately (@p start runs inline);
-     * otherwise it queues and runs when released.
+     * transaction starts immediately (@p start runs inline, and is
+     * never stored); otherwise it queues and runs when released.
      */
+    template <typename F>
     void
-    acquire(Addr addr, Start start)
+    acquire(Addr addr, F &&start)
     {
+        static_assert(Start::fitsInline<std::decay_t<F>>,
+                      "a lock waiter must fit the inline budget");
         const Addr blk = blockNumber(addr);
-        auto [it, inserted] = table.emplace(blk, Waiters{});
         ++admitted;
+        auto [lock, inserted] = locks.emplace(blk);
         if (inserted) {
             start();
-        } else {
-            ++conflicts;
-            it->second.push_back(std::move(start));
+            return;
         }
+        ++conflicts;
+        Waiter *w = waiters.acquire();
+        w->start = std::forward<F>(start);
+        if (lock->tail)
+            lock->tail->next = w;
+        else
+            lock->head = w;
+        lock->tail = w;
     }
 
     /**
@@ -66,14 +85,20 @@ class BlockingTable
     release(Addr addr)
     {
         const Addr blk = blockNumber(addr);
-        auto it = table.find(blk);
-        c3d_assert(it != table.end(), "release of unlocked block");
-        if (it->second.empty()) {
-            table.erase(it);
+        Lock *lock = locks.find(blk);
+        c3d_assert(lock, "release of unlocked block");
+        Waiter *w = lock->head;
+        if (!w) {
+            locks.erase(blk);
             return;
         }
-        Start next = std::move(it->second.front());
-        it->second.pop_front();
+        lock->head = w->next;
+        if (!lock->head)
+            lock->tail = nullptr;
+        // Unlink before running: the start may acquire or release
+        // blocks (even this one) and reuse the waiter node.
+        Start next = std::move(w->start);
+        waiters.release(w);
         next();
     }
 
@@ -81,15 +106,28 @@ class BlockingTable
     bool
     isBusy(Addr addr) const
     {
-        return table.count(blockNumber(addr)) != 0;
+        return locks.find(blockNumber(addr)) != nullptr;
     }
 
-    std::size_t activeBlocks() const { return table.size(); }
+    std::size_t activeBlocks() const { return locks.size(); }
     std::uint64_t blockedCount() const { return conflicts.value(); }
 
   private:
-    using Waiters = std::deque<Start>;
-    std::unordered_map<Addr, Waiters> table;
+    struct Waiter
+    {
+        Start start;
+        Waiter *next = nullptr; //!< FIFO successor
+    };
+
+    /** A locked block's FIFO of waiters. */
+    struct Lock
+    {
+        Waiter *head = nullptr;
+        Waiter *tail = nullptr;
+    };
+
+    BlockMap<Lock> locks;
+    Pool<Waiter> waiters;
     Counter conflicts;
     Counter admitted;
 };

@@ -12,7 +12,9 @@
  *
  *  - FullDirectory: an unbounded map with no recalls, modelling the
  *    paper's idealized inclusive directory (full-dir, c3d-full-dir)
- *    that optimistically keeps a 10-cycle access latency.
+ *    that optimistically keeps a 10-cycle access latency. It is an
+ *    open-addressed BlockMap, so entries dropped and re-allocated as
+ *    blocks move in and out of tracking cost no heap allocation.
  */
 
 #ifndef C3DSIM_COHERENCE_DIRECTORY_HH
@@ -20,9 +22,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/block_map.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -259,8 +261,7 @@ class FullDirectory : public DirectoryStore
     DirEntry *
     find(Addr addr) override
     {
-        auto it = map.find(blockNumber(addr));
-        return it == map.end() ? nullptr : &it->second;
+        return map.find(blockNumber(addr));
     }
 
     DirEntry *
@@ -268,14 +269,14 @@ class FullDirectory : public DirectoryStore
              const Evictable & = {}) override
     {
         recall.valid = false;
-        auto [it, inserted] = map.emplace(blockNumber(addr), DirEntry{});
+        auto [e, inserted] = map.emplace(blockNumber(addr));
         if (inserted) {
             ++allocations;
             if (map.size() > peakTracked.value()) {
                 peakTracked += map.size() - peakTracked.value();
             }
         }
-        return &it->second;
+        return e;
     }
 
     void erase(Addr addr) override { map.erase(blockNumber(addr)); }
@@ -293,7 +294,7 @@ class FullDirectory : public DirectoryStore
 
   private:
     const std::uint32_t vectorBits;
-    std::unordered_map<Addr, DirEntry> map;
+    BlockMap<DirEntry> map;
     Counter allocations;
     Counter peakTracked;
 };

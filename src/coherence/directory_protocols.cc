@@ -12,6 +12,7 @@ DirectoryProtocol::DirectoryProtocol(Machine &machine, StatGroup *stats,
 {
     const SystemConfig &c = cfg();
     dirs.reserve(c.numSockets);
+    writeJoins.resize(c.numSockets);
     for (SocketId s = 0; s < c.numSockets; ++s) {
         const std::string nm = "dir" + std::to_string(s);
         if (sparse_storage) {
@@ -43,12 +44,31 @@ DirectoryProtocol::notBusyAt(SocketId home)
     };
 }
 
-std::function<bool(Addr)>
-DirectoryProtocol::trackedAt(SocketId home)
+void
+DirectoryProtocol::resolveRecall(SocketId home, const DirRecall &recall)
 {
-    return [this, home](Addr a) {
-        return dirs[home]->find(a) != nullptr;
-    };
+    if (!recall.valid)
+        return;
+    const SocketMask targets = recall.entry.state == DirState::Modified
+        ? bit(recall.entry.owner)
+        : sharersOf(recall.entry, InvalidSocket);
+    recallInvs += __builtin_popcountll(targets);
+    const Addr addr = recall.addr;
+    // Serialize against any transaction in flight for the recalled
+    // block (we hold a different block's lock, so this deferred
+    // acquisition cannot deadlock).
+    homeLocks[home].acquire(addr, [this, home, addr, targets] {
+        if (dirs[home]->find(addr)) {
+            homeLocks[home].release(addr);
+            return;
+        }
+        invalidateSockets(home, targets, addr,
+                          [this, home, addr](bool dirty) {
+            if (dirty)
+                m.socket(home).memory().write(addr, /*remote=*/false);
+            homeLocks[home].release(addr);
+        });
+    });
 }
 
 // --------------------------------------------------------------------
@@ -56,17 +76,14 @@ DirectoryProtocol::trackedAt(SocketId home)
 // --------------------------------------------------------------------
 
 void
-DirectoryProtocol::getS(SocketId req, Addr addr, ReadDone done)
+DirectoryProtocol::getS(SocketId req, Addr addr, MissSlot slot)
 {
     const SocketId home = m.homeOf(addr, req);
-    sendCtrl(req, home, [this, req, home, addr,
-                         done = std::move(done)]() mutable {
-        homeLocks[home].acquire(addr, [this, req, home, addr,
-                                       done = std::move(done)]() mutable {
+    sendCtrl(req, home, [this, req, home, addr, slot] {
+        homeLocks[home].acquire(addr, [this, req, home, addr, slot] {
             queueAt(home).schedule(cfg().globalDirLatency,
-                                   [this, req, home, addr,
-                                    done = std::move(done)]() mutable {
-                handleGetS(req, home, addr, std::move(done));
+                                   [this, req, home, addr, slot] {
+                handleGetS(req, home, addr, slot);
             });
         });
     });
@@ -74,8 +91,7 @@ DirectoryProtocol::getS(SocketId req, Addr addr, ReadDone done)
 
 void
 DirectoryProtocol::serveFromMemory(SocketId req, SocketId home,
-                                   Addr addr,
-                                   std::function<void()> deliver)
+                                   Addr addr, MissSlot slot)
 {
     // The block lock is released when the response *leaves* the home,
     // not when it lands at the requester: the home is the ordering
@@ -87,16 +103,15 @@ DirectoryProtocol::serveFromMemory(SocketId req, SocketId home,
     // network traversal of artificial serialization on every miss.
     ++readsFromMemory;
     m.socket(home).memory().read(addr, /*remote=*/req != home,
-                                 [this, req, home, addr,
-                                  deliver = std::move(deliver)]() mutable {
-        sendData(home, req, std::move(deliver));
+                                 [this, req, home, addr, slot] {
+        sendData(home, req, [this, req, slot] { grant(req, slot); });
         homeLocks[home].release(addr);
     });
 }
 
 void
 DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
-                              ReadDone done)
+                              MissSlot slot)
 {
     DirEntry *e = dirs[home]->find(addr);
     if (watchingBlock(addr)) {
@@ -124,12 +139,10 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
         e->addSharer(owner);
         e->addSharer(req);
         e->owner = InvalidSocket;
-        sendCtrl(home, owner, [this, req, home, owner, addr,
-                               done = std::move(done)]() mutable {
+        sendCtrl(home, owner, [this, addr, req, home, owner, slot] {
             m.socket(owner).probeDowngrade(addr,
-                                           [this, req, home, owner, addr,
-                                            done = std::move(done)]
-                                           (bool dirty) mutable {
+                                           [this, addr, req, home, owner,
+                                            slot](bool dirty) {
                 if (dirty) {
                     ++dirtyFwds;
                     ++readsFromOwner;
@@ -141,10 +154,8 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
                     // home on an unblock ack only after the data has
                     // landed, so no later probe for this block can
                     // pass the fill in flight.
-                    sendData(owner, req,
-                             [this, req, home, addr,
-                              done = std::move(done)]() mutable {
-                        done();
+                    sendData(owner, req, [this, req, home, addr, slot] {
+                        grant(req, slot);
                         sendCtrl(req, home, [this, home, addr] {
                             homeLocks[home].release(addr);
                         });
@@ -156,11 +167,8 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
                     // memory from the owner's side with zero flight
                     // time.
                     ++fwdRaces;
-                    sendCtrl(owner, home,
-                             [this, req, home, addr,
-                              done = std::move(done)]() mutable {
-                        serveFromMemory(req, home, addr,
-                                        std::move(done));
+                    sendCtrl(owner, home, [this, req, home, addr, slot] {
+                        serveFromMemory(req, home, addr, slot);
                     });
                 }
             });
@@ -170,7 +178,7 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
 
     if (e && e->state == DirState::Shared) {
         e->addSharer(req);
-        serveFromMemory(req, home, addr, std::move(done));
+        serveFromMemory(req, home, addr, slot);
         return;
     }
 
@@ -182,7 +190,7 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
         e->sharers = 0;
         e->addSharer(req);
         e->owner = InvalidSocket;
-        serveFromMemory(req, home, addr, std::move(done));
+        serveFromMemory(req, home, addr, slot);
         return;
     }
 
@@ -195,9 +203,9 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
         ne->state = DirState::Shared;
         ne->sharers = 0;
         ne->addSharer(req);
-        resolveRecall(home, recall, trackedAt(home));
+        resolveRecall(home, recall);
     }
-    serveFromMemory(req, home, addr, std::move(done));
+    serveFromMemory(req, home, addr, slot);
 }
 
 // --------------------------------------------------------------------
@@ -206,23 +214,21 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
 
 void
 DirectoryProtocol::getX(SocketId req, Addr addr, bool has_shared_copy,
-                        bool private_page, WriteDone done)
+                        bool private_page, MissSlot slot)
 {
     const SocketId home = m.homeOf(addr, req);
-    sendCtrl(req, home, [this, req, home, addr, has_shared_copy,
-                         private_page, done = std::move(done)]() mutable {
+    sendCtrl(req, home, [this, addr, req, home, slot, has_shared_copy,
+                         private_page] {
         const Tick lock_req_at = queueAt(home).now();
         homeLocks[home].acquire(addr,
-                                [this, req, home, addr, has_shared_copy,
-                                 private_page, lock_req_at,
-                                 done = std::move(done)]() mutable {
+                                [this, addr, lock_req_at, req, home,
+                                 slot, has_shared_copy, private_page] {
             lockWaitTime.sample(queueAt(home).now() - lock_req_at);
             queueAt(home).schedule(cfg().globalDirLatency,
-                                   [this, req, home, addr,
-                                    has_shared_copy, private_page,
-                                    done = std::move(done)]() mutable {
+                                   [this, addr, req, home, slot,
+                                    has_shared_copy, private_page] {
                 handleGetX(req, home, addr, has_shared_copy,
-                           private_page, std::move(done));
+                           private_page, slot);
             });
         });
     });
@@ -230,14 +236,14 @@ DirectoryProtocol::getX(SocketId req, Addr addr, bool has_shared_copy,
 
 void
 DirectoryProtocol::respondWrite(SocketId req, SocketId home, Addr addr,
-                                bool with_data, WriteDone done)
+                                bool with_data, MissSlot slot)
 {
     if (with_data) {
-        serveFromMemory(req, home, addr, std::move(done));
+        serveFromMemory(req, home, addr, slot);
     } else {
         // Upgrade ack: release when the grant leaves the home (same
         // ordering-point argument as serveFromMemory).
-        sendCtrl(home, req, std::move(done));
+        sendCtrl(home, req, [this, req, slot] { grant(req, slot); });
         homeLocks[home].release(addr);
     }
 }
@@ -245,7 +251,7 @@ DirectoryProtocol::respondWrite(SocketId req, SocketId home, Addr addr,
 void
 DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
                               bool upgrade, bool private_page,
-                              WriteDone done)
+                              MissSlot slot)
 {
     DirEntry *e = dirs[home]->find(addr);
     if (watchingBlock(addr)) {
@@ -269,13 +275,10 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
         e->owner = req;
         e->sharers = 0;
         e->addSharer(req);
-        sendCtrl(home, owner, [this, req, home, owner, addr,
-                               done = std::move(done)]() mutable {
+        sendCtrl(home, owner, [this, addr, req, home, owner, slot] {
             m.socket(owner).probeInvalidate(addr,
-                                            [this, req, home, owner,
-                                             addr,
-                                             done = std::move(done)]
-                                            (bool dirty) mutable {
+                                            [this, addr, req, home,
+                                             owner, slot](bool dirty) {
                 if (dirty) {
                     ++dirtyFwds;
                     ++writesServedByOwner;
@@ -283,10 +286,8 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
                     // ack releases the block lock at the home only
                     // once the fill has landed (so later probes
                     // cannot pass it in flight).
-                    sendData(owner, req,
-                             [this, req, home, addr,
-                              done = std::move(done)]() mutable {
-                        done();
+                    sendData(owner, req, [this, req, home, addr, slot] {
+                        grant(req, slot);
                         sendCtrl(req, home, [this, home, addr] {
                             homeLocks[home].release(addr);
                         });
@@ -297,11 +298,8 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
                     // write (the old code read home memory from the
                     // owner's side with zero flight time).
                     ++fwdRaces;
-                    sendCtrl(owner, home,
-                             [this, req, home, addr,
-                              done = std::move(done)]() mutable {
-                        serveFromMemory(req, home, addr,
-                                        std::move(done));
+                    sendCtrl(owner, home, [this, req, home, addr, slot] {
+                        serveFromMemory(req, home, addr, slot);
                     });
                 }
             });
@@ -313,14 +311,13 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
         // PutX race: requester is re-acquiring a block whose
         // writeback is still queued. Grant directly.
         ++fwdRaces;
-        respondWrite(req, home, addr, /*with_data=*/!upgrade,
-                     std::move(done));
+        respondWrite(req, home, addr, /*with_data=*/!upgrade, slot);
         return;
     }
 
     if (e && e->state == DirState::Shared) {
         const bool req_tracked = e->isSharer(req);
-        const std::vector<SocketId> targets = sharersOf(*e, req);
+        const SocketMask targets = sharersOf(*e, req);
         e->state = DirState::Modified;
         e->owner = req;
         e->sharers = 0;
@@ -329,9 +326,9 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
         // requester's copy is still covered by the vector.
         const bool with_data = !(upgrade && req_tracked);
         invalidateSockets(home, targets, addr,
-                          [this, req, home, addr, with_data,
-                           done = std::move(done)](bool) mutable {
-            respondWrite(req, home, addr, with_data, std::move(done));
+                          [this, addr, req, home, slot,
+                           with_data](bool) {
+            respondWrite(req, home, addr, with_data, slot);
         });
         return;
     }
@@ -344,7 +341,7 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
     ne->owner = req;
     ne->sharers = 0;
     ne->addSharer(req);
-    resolveRecall(home, recall, trackedAt(home));
+    resolveRecall(home, recall);
 
     const bool with_data = !upgrade;
     if (policy.broadcastOnUntrackedWrite) {
@@ -363,29 +360,24 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
             // write completion at the home with zero flight time
             // when the acks were the laggard.
             ++broadcasts;
-            auto join = std::make_shared<WriteJoin>();
-            join->finish = [this, req, home, addr, with_data,
-                            done = std::move(done)]() mutable {
-                if (with_data) {
-                    sendData(home, req, std::move(done));
-                } else {
-                    sendCtrl(home, req, std::move(done));
-                }
-                homeLocks[home].release(addr);
-            };
+            WriteJoin *join = writeJoins[home].acquire();
+            join->addr = addr;
+            join->req = req;
+            join->slot = slot;
+            join->withData = with_data;
             join->memPending = with_data;
             join->acksPending = true;
 
             if (with_data) {
                 ++readsFromMemory;
                 m.socket(home).memory().read(
-                    addr, req != home, [join] {
+                    addr, req != home, [this, home, join] {
                     join->memPending = false;
-                    join->tryFinish();
+                    tryFinish(home, join);
                 });
             }
             invalidateSockets(home, othersThan(req), addr,
-                              [this, join](bool saw_dirty) {
+                              [this, home, join](bool saw_dirty) {
                 if (saw_dirty) {
                     // Clean DRAM caches can never hold dirty data;
                     // a dirty find here means an on-chip M copy
@@ -393,13 +385,32 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
                     ++fwdRaces;
                 }
                 join->acksPending = false;
-                join->tryFinish();
+                tryFinish(home, join);
             });
             return;
         }
         ++broadcastsElided;
     }
-    respondWrite(req, home, addr, with_data, std::move(done));
+    respondWrite(req, home, addr, with_data, slot);
+}
+
+void
+DirectoryProtocol::tryFinish(SocketId home, WriteJoin *join)
+{
+    if (join->memPending || join->acksPending)
+        return;
+    const WriteJoin j = *join;
+    writeJoins[home].release(join);
+    if (j.withData) {
+        sendData(home, j.req, [this, req = j.req, slot = j.slot] {
+            grant(req, slot);
+        });
+    } else {
+        sendCtrl(home, j.req, [this, req = j.req, slot = j.slot] {
+            grant(req, slot);
+        });
+    }
+    homeLocks[home].release(j.addr);
 }
 
 // --------------------------------------------------------------------

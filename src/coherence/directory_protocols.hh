@@ -53,9 +53,9 @@ class DirectoryProtocol : public ProtocolBase
                       const char *design_name, DirPolicy policy,
                       bool sparse_storage);
 
-    void getS(SocketId req, Addr addr, ReadDone done) override;
+    void getS(SocketId req, Addr addr, MissSlot slot) override;
     void getX(SocketId req, Addr addr, bool has_shared_copy,
-              bool private_page, WriteDone done) override;
+              bool private_page, MissSlot slot) override;
     void putX(SocketId req, Addr addr) override;
     void dramCacheEvicted(SocketId req, Addr addr, bool dirty) override;
 
@@ -67,45 +67,51 @@ class DirectoryProtocol : public ProtocolBase
   private:
     /** Runs at the home once the block lock is held. */
     void handleGetS(SocketId req, SocketId home, Addr addr,
-                    ReadDone done);
+                    MissSlot slot);
     void handleGetX(SocketId req, SocketId home, Addr addr,
-                    bool upgrade, bool private_page, WriteDone done);
+                    bool upgrade, bool private_page, MissSlot slot);
 
     /** Read memory at home and deliver data to the requester. */
     void serveFromMemory(SocketId req, SocketId home, Addr addr,
-                         std::function<void()> deliver);
+                         MissSlot slot);
 
     /** Send the write response (data or upgrade-ack) to @p req. */
     void respondWrite(SocketId req, SocketId home, Addr addr,
-                      bool with_data, WriteDone done);
+                      bool with_data, MissSlot slot);
 
-    /** Join for the parallel memory-read + broadcast write path. */
+    /**
+     * Resolve a directory recall: invalidate the victim entry's
+     * holders and write dirty data back to memory. Runs under the
+     * victim block's lock, off the requester's critical path; if a
+     * new transaction re-established an entry for the block by the
+     * time the lock is held, the recall is moot.
+     */
+    void resolveRecall(SocketId home, const DirRecall &recall);
+
+    /**
+     * Join for the parallel memory-read + broadcast write path. It
+     * lives in the home's pool; only home-queue events touch it.
+     */
     struct WriteJoin
     {
+        Addr addr = 0;
+        SocketId req = InvalidSocket;
+        MissSlot slot = 0;
+        bool withData = false;
         bool memPending = false;
         bool acksPending = false;
-        bool fired = false;
-        std::function<void()> finish;
-
-        void
-        tryFinish()
-        {
-            if (!fired && !memPending && !acksPending) {
-                fired = true;
-                finish();
-            }
-        }
     };
+
+    /** Send the joined write's response once both halves are in. */
+    void tryFinish(SocketId home, WriteJoin *join);
 
     /** Recall-victim filter: blocks mid-transaction are pinned. */
     DirectoryStore::Evictable notBusyAt(SocketId home);
 
-    /** Recall-mootness check: entry re-established under the lock. */
-    std::function<bool(Addr)> trackedAt(SocketId home);
-
     const char *designName;
     const DirPolicy policy;
     std::vector<std::unique_ptr<DirectoryStore>> dirs;
+    std::vector<Pool<WriteJoin>> writeJoins;
 
     Counter readsFromMemory;
     Counter readsFromOwner;

@@ -13,7 +13,6 @@
 #define C3DSIM_COHERENCE_PROTOCOL_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "cache/tag_array.hh"
@@ -26,12 +25,6 @@ namespace c3d
 
 class Machine;
 
-/** Completion callback for a read request: state granted is Shared. */
-using ReadDone = std::function<void()>;
-
-/** Completion callback for a write/upgrade request. */
-using WriteDone = std::function<void()>;
-
 /** The socket-boundary coherence interface. */
 class GlobalProtocol
 {
@@ -41,19 +34,21 @@ class GlobalProtocol
     /**
      * Read request (GetS) from socket @p req for the block at
      * @p addr; both the LLC and (if the design has one) the local
-     * DRAM cache have missed. @p done fires when the data has
-     * arrived at the requesting socket.
+     * DRAM cache have missed. When the data has arrived at the
+     * requesting socket, the protocol calls Socket::grant(@p slot)
+     * there, on the requester's queue (state granted is Shared).
      */
-    virtual void getS(SocketId req, Addr addr, ReadDone done) = 0;
+    virtual void getS(SocketId req, Addr addr, MissSlot slot) = 0;
 
     /**
      * Write-permission request from socket @p req. @p has_shared_copy
      * distinguishes Upgrade (LLC holds Shared) from GetX.
      * @p private_page is the §IV-D TLB classification hint (only
-     * meaningful when the optimization is enabled).
+     * meaningful when the optimization is enabled). Completes like
+     * getS, with Socket::grant(@p slot) at the requester.
      */
     virtual void getX(SocketId req, Addr addr, bool has_shared_copy,
-                      bool private_page, WriteDone done) = 0;
+                      bool private_page, MissSlot slot) = 0;
 
     /**
      * The socket evicted a Modified block from its LLC.

@@ -3,19 +3,26 @@
  * Shared machinery for the global-protocol implementations: packet
  * helpers, per-home blocking tables, invalidation fan-out/fan-in, and
  * the common stat set.
+ *
+ * A transaction's state lives in its events' captures while it fits
+ * (ids, the block address, a few flags: the inline budget), and in a
+ * pooled entry once it has to be shared by several events (the
+ * invalidation fan-in here, the protocols' joins). Nothing on the
+ * miss path allocates: see docs/perf.md, "The slot discipline".
  */
 
 #ifndef C3DSIM_COHERENCE_PROTOCOL_BASE_HH
 #define C3DSIM_COHERENCE_PROTOCOL_BASE_HH
 
-#include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "coherence/blocking.hh"
 #include "coherence/directory.hh"
 #include "coherence/protocol.hh"
+#include "common/pool.hh"
 #include "common/stats.hh"
+#include "sim/inline_function.hh"
 #include "sim/machine.hh"
 
 namespace c3d
@@ -29,6 +36,7 @@ class ProtocolBase : public GlobalProtocol
         : m(machine)
     {
         homeLocks.resize(m.numSockets());
+        fanIns.resize(m.numSockets());
         for (SocketId s = 0; s < m.numSockets(); ++s) {
             homeLocks[s].init(stats,
                               "proto.home" + std::to_string(s));
@@ -87,116 +95,66 @@ class ProtocolBase : public GlobalProtocol
                               std::forward<F>(cb));
     }
 
+    /** Complete @p req's miss @p slot; call on @p req's queue. */
+    void grant(SocketId req, MissSlot slot) { m.socket(req).grant(slot); }
+
     /**
-     * Fan out invalidation probes to @p targets; @p done runs at the
-     * home socket once every ack has returned. Dirty finds are
-     * reported through @p on_dirty (at most one in a correct run).
+     * Fan out invalidation probes to @p targets (ascending socket
+     * order); @p done(saw_dirty) runs at the home socket once every
+     * ack has returned. It is parked in the home's fan-in pool, so it
+     * may capture up to the inline budget.
      */
+    template <typename F>
     void
-    invalidateSockets(SocketId home, const std::vector<SocketId> &targets,
-                      Addr addr, std::function<void(bool)> done)
+    invalidateSockets(SocketId home, SocketMask targets, Addr addr,
+                      F &&done)
     {
-        if (targets.empty()) {
+        static_assert(FanInDone::fitsInline<std::decay_t<F>>,
+                      "fan-in continuation over the inline budget");
+        if (!targets) {
             queueAt(home).schedule(0,
-                                   [done = std::move(done)] {
-                                       done(false);
-                                   });
+                                   [done = std::forward<F>(done)]()
+                                   mutable { done(false); });
             return;
         }
-        auto state = std::make_shared<FanIn>();
-        state->remaining = targets.size();
-        const Tick phase_start = queueAt(home).now();
-        state->done = [this, home, phase_start,
-                       done = std::move(done)](bool dirty) {
-            invPhaseTime.sample(queueAt(home).now() - phase_start);
-            done(dirty);
-        };
-        for (SocketId t : targets) {
+        FanIn *fan = fanIns[home].acquire();
+        fan->remaining = __builtin_popcountll(targets);
+        fan->phaseStart = queueAt(home).now();
+        fan->done = std::forward<F>(done);
+        for (SocketId t = 0; t < m.numSockets(); ++t) {
+            if (!((targets >> t) & 1))
+                continue;
             ++invsSent;
-            sendCtrl(home, t, [this, t, addr, home, state] {
+            sendCtrl(home, t, [this, t, addr, home, fan] {
                 m.socket(t).probeInvalidate(addr,
-                                            [this, t, home, state]
+                                            [this, t, home, fan]
                                             (bool dirty) {
                     // Ack back to the home.
-                    sendCtrl(t, home, [state, dirty] {
-                        if (dirty)
-                            state->sawDirty = true;
-                        if (--state->remaining == 0)
-                            state->done(state->sawDirty);
+                    sendCtrl(t, home, [this, home, fan, dirty] {
+                        ackInvalidation(home, fan, dirty);
                     });
                 });
             });
         }
     }
 
+    /** Bit of socket @p s. */
+    static SocketMask bit(SocketId s) { return SocketMask(1) << s; }
+
     /** All sockets except @p exclude. */
-    std::vector<SocketId>
+    SocketMask
     othersThan(SocketId exclude) const
     {
-        std::vector<SocketId> v;
-        for (SocketId s = 0; s < m.numSockets(); ++s)
-            if (s != exclude)
-                v.push_back(s);
-        return v;
+        const SocketMask all = m.numSockets() >= 64
+            ? ~SocketMask(0) : bit(m.numSockets()) - 1;
+        return exclude == InvalidSocket ? all : all & ~bit(exclude);
     }
 
     /** Sharer-vector sockets except @p exclude. */
-    std::vector<SocketId>
+    SocketMask
     sharersOf(const DirEntry &e, SocketId exclude) const
     {
-        std::vector<SocketId> v;
-        for (SocketId s = 0; s < m.numSockets(); ++s)
-            if (s != exclude && e.isSharer(s))
-                v.push_back(s);
-        return v;
-    }
-
-    /**
-     * Resolve a directory recall: invalidate the victim entry's
-     * holders and write dirty data back to memory. Runs entirely off
-     * the requester's critical path.
-     */
-    /**
-     * Resolve a directory recall: invalidate the victim entry's
-     * holders and write dirty data back to memory. Runs under the
-     * victim block's lock, off the requester's critical path.
-     * @param reallocated queried under the lock; a truthy result
-     *        means a new transaction already re-established an entry
-     *        for the block, making the recall moot.
-     */
-    void
-    resolveRecall(SocketId home, const DirRecall &recall,
-                  std::function<bool(Addr)> reallocated = {})
-    {
-        if (!recall.valid)
-            return;
-        std::vector<SocketId> targets;
-        if (recall.entry.state == DirState::Modified) {
-            targets.push_back(recall.entry.owner);
-        } else {
-            targets = sharersOf(recall.entry, InvalidSocket);
-        }
-        recallInvs += targets.size();
-        const Addr addr = recall.addr;
-        // Serialize against any transaction in flight for the
-        // recalled block (we hold a different block's lock, so this
-        // deferred acquisition cannot deadlock).
-        homeLocks[home].acquire(
-            addr, [this, home, addr, targets,
-                   reallocated = std::move(reallocated)] {
-            if (reallocated && reallocated(addr)) {
-                homeLocks[home].release(addr);
-                return;
-            }
-            invalidateSockets(home, targets, addr,
-                              [this, home, addr](bool dirty) {
-                if (dirty) {
-                    m.socket(home).memory().write(addr,
-                                                  /*remote=*/false);
-                }
-                homeLocks[home].release(addr);
-            });
-        });
+        return e.sharers & othersThan(exclude);
     }
 
     Machine &m;
@@ -213,12 +171,34 @@ class ProtocolBase : public GlobalProtocol
     Histogram lockWaitTime;
 
   private:
+    using FanInDone = InlineFunction<void(bool)>;
+
+    /** An invalidation fan-out waiting for its acks (home-side). */
     struct FanIn
     {
         std::size_t remaining = 0;
+        Tick phaseStart = 0;
         bool sawDirty = false;
-        std::function<void(bool)> done;
+        FanInDone done;
     };
+
+    /** One ack arrived at the home; the last one runs the fan-in. */
+    void
+    ackInvalidation(SocketId home, FanIn *fan, bool dirty)
+    {
+        if (dirty)
+            fan->sawDirty = true;
+        if (--fan->remaining != 0)
+            return;
+        invPhaseTime.sample(queueAt(home).now() - fan->phaseStart);
+        const bool saw_dirty = fan->sawDirty;
+        FanInDone done = std::move(fan->done);
+        fanIns[home].release(fan);
+        done(saw_dirty);
+    }
+
+    /** Per-home fan-in state; only the home's queue touches it. */
+    std::vector<Pool<FanIn>> fanIns;
 };
 
 } // namespace c3d

@@ -29,6 +29,7 @@ SnoopyProtocol::SnoopyProtocol(Machine &machine, StatGroup *stats,
 
     homeLines.resize(m.numSockets());
     writeBuffers.resize(m.numSockets());
+    joins.resize(m.numSockets());
     for (SocketId s = 0; s < m.numSockets(); ++s) {
         writeBuffers[s].init(&m.queueAt(s), &m.socket(s).memory(),
                              cfg().storeWriteBufferDepth,
@@ -36,35 +37,6 @@ SnoopyProtocol::SnoopyProtocol(Machine &machine, StatGroup *stats,
                              &wbDrained, &wbFullStalls);
     }
 }
-
-namespace
-{
-
-/** Join state for a broadcast transaction. */
-struct SnoopJoin
-{
-    std::size_t pendingProbes = 0;
-    bool memPending = false;
-    bool dataArrived = false;
-    bool completed = false;
-    std::function<void()> done;
-
-    void
-    tryComplete()
-    {
-        if (completed)
-            return;
-        // Complete as soon as supplied data arrives (a dirty owner
-        // or clean forwarder sent the block), or when every ack and
-        // the memory data are in.
-        if (dataArrived || (pendingProbes == 0 && !memPending)) {
-            completed = true;
-            done();
-        }
-    }
-};
-
-} // namespace
 
 HomeLineState &
 SnoopyProtocol::lineAt(SocketId home, Addr addr)
@@ -81,8 +53,7 @@ SnoopyProtocol::memWrite(SocketId home, Addr addr, bool remote)
 void
 SnoopyProtocol::requestTransaction(SocketId req, Addr addr,
                                    bool is_write,
-                                   bool has_shared_copy,
-                                   std::function<void()> done)
+                                   bool has_shared_copy, MissSlot slot)
 {
     // The home socket is the ordering point (home-snoop flavour, as
     // in QPI): same-block transactions serialize there, which keeps
@@ -90,44 +61,66 @@ SnoopyProtocol::requestTransaction(SocketId req, Addr addr,
     // is computed under the block lock, on the home's queue -- the
     // only place the per-line home state may be read.
     const SocketId home = m.homeOf(addr, req);
-    sendCtrl(req, home, [this, req, home, addr, is_write,
-                         has_shared_copy,
-                         done = std::move(done)]() mutable {
-        homeLocks[home].acquire(
-            addr, [this, req, home, addr, is_write, has_shared_copy,
-                   done = std::move(done)]() mutable {
-                const SnoopPlan plan = variant->plan(
-                    lineAt(home, addr), req, is_write,
-                    has_shared_copy);
-                // The join completes at the requester (every ack and
-                // data packet lands there), so the completion wrapper
-                // runs req-side. The home lock and line state are
-                // home state: releasing or committing from the
-                // requester both races under the parallel kernel and
-                // lets a later transaction's probes depart the
-                // ordering point before this transaction's fill has
-                // landed. Send an explicit completion notice back to
-                // the home and commit+release on its arrival — the
-                // one extra control packet is the price of a real
-                // ordering point.
-                const bool update = plan.updateCopies;
-                runBroadcast(req, home, addr, plan,
-                             [this, req, home, addr, is_write,
-                              update, done = std::move(done)] {
-                    done();
-                    if (req == home) {
-                        commitAndRelease(home, req, addr, is_write,
-                                         update);
-                    } else {
-                        sendCtrl(req, home, [this, req, home, addr,
-                                             is_write, update] {
-                            commitAndRelease(home, req, addr,
-                                             is_write, update);
-                        });
-                    }
-                });
-            });
+    SnoopJoin *join = joins[req].acquire();
+    join->addr = addr;
+    join->req = req;
+    join->home = home;
+    join->slot = slot;
+    join->isWrite = is_write;
+    sendCtrl(req, home, [this, join, has_shared_copy] {
+        const SocketId home = join->home;
+        homeLocks[home].acquire(join->addr,
+                                [this, join, has_shared_copy] {
+            const SnoopPlan plan = variant->plan(
+                lineAt(join->home, join->addr), join->req,
+                join->isWrite, has_shared_copy);
+            runBroadcast(join, plan);
+        });
     });
+}
+
+void
+SnoopyProtocol::tryComplete(SnoopJoin *join)
+{
+    const bool quiet = join->pendingProbes == 0 && !join->memPending;
+    if (!join->completed && (join->dataArrived || quiet)) {
+        // The join completes at the requester (every ack and data
+        // packet lands there). The home lock and line state are home
+        // state: releasing or committing from the requester both
+        // races under the parallel kernel and lets a later
+        // transaction's probes depart the ordering point before this
+        // transaction's fill has landed. Send an explicit completion
+        // notice back to the home and commit+release on its arrival
+        // -- the one extra control packet is the price of a real
+        // ordering point.
+        join->completed = true;
+        const SnoopJoin j = *join;
+        if (quiet)
+            joins[j.req].release(join);
+        grant(j.req, j.slot);
+        if (j.req == j.home) {
+            commitAndRelease(j.home, j.req, j.addr, j.isWrite,
+                             j.updateCopies);
+        } else {
+            sendCtrl(j.req, j.home,
+                     [this, req = j.req, home = j.home, addr = j.addr,
+                      is_write = j.isWrite, update = j.updateCopies] {
+                commitAndRelease(home, req, addr, is_write, update);
+            });
+        }
+        return;
+    }
+    if (join->completed && quiet)
+        joins[join->req].release(join);
+}
+
+void
+SnoopyProtocol::probeArrived(SnoopJoin *join, bool with_data)
+{
+    --join->pendingProbes;
+    if (with_data)
+        join->dataArrived = true;
+    tryComplete(join);
 }
 
 void
@@ -153,15 +146,16 @@ SnoopyProtocol::commitAndRelease(SocketId home, SocketId req,
 }
 
 void
-SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
-                             const SnoopPlan &plan,
-                             std::function<void()> done)
+SnoopyProtocol::runBroadcast(SnoopJoin *join, const SnoopPlan &plan)
 {
-    auto join = std::make_shared<SnoopJoin>();
-    join->done = std::move(done);
-
-    const std::vector<SocketId> targets = othersThan(req);
-    join->pendingProbes = targets.size();
+    const SocketId req = join->req;
+    const SocketId home = join->home;
+    const Addr addr = join->addr;
+    const SocketMask targets = othersThan(req);
+    join->supplier = plan.supplier;
+    join->updateCopies = plan.updateCopies;
+    join->reflective = plan.reflectiveWrite;
+    join->pendingProbes = __builtin_popcountll(targets);
     join->memPending = plan.withMemoryRead;
 
     // Parallel memory access at the home socket (§V-A: "we access
@@ -169,105 +163,98 @@ SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
     if (plan.withMemoryRead) {
         m.socket(home).memory().read(addr, req != home,
                                      [this, req, home, join] {
-            sendData(home, req, [join] {
+            sendData(home, req, [this, join] {
                 join->memPending = false;
-                join->tryComplete();
+                tryComplete(join);
             });
         });
     }
 
     const bool probe_invalidate = plan.invalidateOthers;
     const bool retain = plan.supplierRetainsDirty;
-    const bool reflective = plan.reflectiveWrite;
-    for (SocketId t : targets) {
+    for (SocketId t = 0; t < m.numSockets(); ++t) {
+        if (!((targets >> t) & 1))
+            continue;
         ++snoops;
         const bool is_supplier =
             plan.supplier == static_cast<std::int32_t>(t);
         // Probes fan out from the ordering point; the home "probing
         // itself" is a local action (no interconnect traffic).
-        sendCtrl(home, t, [this, req, home, t, addr, probe_invalidate,
-                           retain, reflective, is_supplier, join] {
+        sendCtrl(home, t, [this, addr, join, t, probe_invalidate,
+                           retain, is_supplier] {
             m.socket(t).snoopProbe(addr, probe_invalidate,
-                                   [this, req, home, t, addr,
-                                    reflective, is_supplier, join]
+                                   [this, join, t, is_supplier]
                                    (SnoopResult res) {
-                if (res.suppliedDirty) {
-                    ++snoopHitsDirty;
-                    ++dirtyFwds;
-                    if (reflective) {
-                        // Dirty data goes straight to the requester;
-                        // memory is refreshed reflectively.
-                        const SocketId hm = m.homeOf(addr, req);
-                        sendData(t, hm, [this, hm, addr] {
-                            memWrite(hm, addr, false);
-                        });
-                    }
-                    sendData(t, req, [join] {
-                        --join->pendingProbes;
-                        join->dataArrived = true;
-                        join->tryComplete();
-                    });
-                } else if (is_supplier && res.present) {
-                    // MESIF-style clean forward: the designated
-                    // supplier still holds the block and sends it in
-                    // memory's stead.
-                    ++cleanForwards;
-                    sendData(t, req, [join] {
-                        --join->pendingProbes;
-                        join->dataArrived = true;
-                        join->tryComplete();
-                    });
-                } else if (is_supplier) {
-                    // The believed supplier silently lost its copy:
-                    // recover with a fallback memory read at the
-                    // home. Deterministic — the stale home state
-                    // costs latency, never correctness.
-                    ++supplierFallbacks;
-                    sendCtrl(t, home, [this, req, home, addr, join] {
-                        ++snoopMemoryServed;
-                        m.socket(home).memory().read(
-                            addr, req != home,
-                            [this, req, home, join] {
-                            sendData(home, req, [join] {
-                                --join->pendingProbes;
-                                join->dataArrived = true;
-                                join->tryComplete();
-                            });
-                        });
-                    });
-                } else {
-                    sendCtrl(t, req, [join] {
-                        --join->pendingProbes;
-                        join->tryComplete();
-                    });
-                }
+                snoopAnswered(t, is_supplier, join, res);
             }, retain);
         });
     }
 
-    if (targets.empty() && !plan.withMemoryRead) {
+    if (!targets && !plan.withMemoryRead) {
         // Single-socket machines only (othersThan(req) is never
         // empty otherwise), so this runs on the shared-queue layout;
         // still pin to the home queue for uniformity.
-        queueAt(home).schedule(0, [join] { join->tryComplete(); });
+        queueAt(home).schedule(0, [this, join] { tryComplete(join); });
     }
 }
 
 void
-SnoopyProtocol::getS(SocketId req, Addr addr, ReadDone done)
+SnoopyProtocol::snoopAnswered(SocketId t, bool is_supplier,
+                              SnoopJoin *join, SnoopResult res)
+{
+    const SocketId req = join->req;
+    const SocketId home = join->home;
+    const Addr addr = join->addr;
+    if (res.suppliedDirty) {
+        ++snoopHitsDirty;
+        ++dirtyFwds;
+        if (join->reflective) {
+            // Dirty data goes straight to the requester; memory is
+            // refreshed reflectively.
+            const SocketId hm = m.homeOf(addr, req);
+            sendData(t, hm, [this, hm, addr] {
+                memWrite(hm, addr, false);
+            });
+        }
+        sendData(t, req, [this, join] { probeArrived(join, true); });
+    } else if (is_supplier && res.present) {
+        // MESIF-style clean forward: the designated supplier still
+        // holds the block and sends it in memory's stead.
+        ++cleanForwards;
+        sendData(t, req, [this, join] { probeArrived(join, true); });
+    } else if (is_supplier) {
+        // The believed supplier silently lost its copy: recover with
+        // a fallback memory read at the home. Deterministic -- the
+        // stale home state costs latency, never correctness.
+        ++supplierFallbacks;
+        sendCtrl(t, home, [this, req, home, addr, join] {
+            ++snoopMemoryServed;
+            m.socket(home).memory().read(addr, req != home,
+                                         [this, req, home, join] {
+                sendData(home, req,
+                         [this, join] { probeArrived(join, true); });
+            });
+        });
+    } else {
+        sendCtrl(t, req, [this, join] { probeArrived(join, false); });
+    }
+}
+
+void
+SnoopyProtocol::getS(SocketId req, Addr addr, MissSlot slot)
 {
     requestTransaction(req, addr, /*is_write=*/false,
-                       /*has_shared_copy=*/false, std::move(done));
+                       /*has_shared_copy=*/false, slot);
 }
 
 void
 SnoopyProtocol::getX(SocketId req, Addr addr, bool has_shared_copy,
-                     bool /*private_page*/, WriteDone done)
+                     bool /*private_page*/, MissSlot slot)
 {
     // An upgrade needs no data: invalidation acks suffice. A full
     // GetX reads memory in parallel with the (in)validating probes.
     requestTransaction(req, addr, /*is_write=*/true, has_shared_copy,
-                       std::move(done));
+                       slot);
 }
 
 void

@@ -36,24 +36,63 @@ class SnoopyProtocol : public ProtocolBase
     SnoopyProtocol(Machine &machine, StatGroup *stats,
                    std::unique_ptr<SnoopVariant> var);
 
-    void getS(SocketId req, Addr addr, ReadDone done) override;
+    void getS(SocketId req, Addr addr, MissSlot slot) override;
     void getX(SocketId req, Addr addr, bool has_shared_copy,
-              bool private_page, WriteDone done) override;
+              bool private_page, MissSlot slot) override;
     void putX(SocketId req, Addr addr) override;
     void dramCacheEvicted(SocketId req, Addr addr, bool dirty) override;
 
     const char *name() const override { return variant->name(); }
 
   private:
+    /**
+     * One broadcast transaction's join. It comes from the
+     * *requester's* pool: the requester allocates it before routing
+     * to the home, the home fills in the plan, and every ack and data
+     * packet lands back at the requester, which releases the entry
+     * once the transaction has completed and its last packet is in
+     * (a supplier's data can complete it before the remaining acks
+     * arrive). The target sockets only read the fields fixed before
+     * their probe was sent.
+     */
+    struct SnoopJoin
+    {
+        Addr addr = 0;
+        SocketId req = InvalidSocket;
+        SocketId home = InvalidSocket;
+        MissSlot slot = 0;
+        std::int32_t supplier = -1;   //!< SnoopPlan::supplier
+        bool isWrite = false;
+        bool updateCopies = false;    //!< SnoopPlan::updateCopies
+        bool reflective = false;      //!< SnoopPlan::reflectiveWrite
+        // Requester-side progress.
+        std::uint32_t pendingProbes = 0;
+        bool memPending = false;
+        bool dataArrived = false;
+        bool completed = false;
+    };
+
     /** Route to the home ordering point, plan, then broadcast. */
     void requestTransaction(SocketId req, Addr addr, bool is_write,
-                            bool has_shared_copy,
-                            std::function<void()> done);
+                            bool has_shared_copy, MissSlot slot);
 
     /** The broadcast itself, run with the home block lock held. */
-    void runBroadcast(SocketId req, SocketId home, Addr addr,
-                      const SnoopPlan &plan,
-                      std::function<void()> done);
+    void runBroadcast(SnoopJoin *join, const SnoopPlan &plan);
+
+    /** A target's probe finished (runs at target @p t). */
+    void snoopAnswered(SocketId t, bool is_supplier, SnoopJoin *join,
+                       SnoopResult res);
+
+    /** A probe's final packet landed at the requester. */
+    void probeArrived(SnoopJoin *join, bool with_data);
+
+    /**
+     * Requester-side join step: complete the transaction as soon as
+     * supplied data arrives (a dirty owner or clean forwarder sent
+     * the block) or every ack and the memory data are in; release
+     * the entry once nothing is in flight.
+     */
+    void tryComplete(SnoopJoin *join);
 
     /**
      * Commit the transaction's home-side line state (sending Dragon
@@ -72,6 +111,8 @@ class SnoopyProtocol : public ProtocolBase
     std::unique_ptr<SnoopVariant> variant;
     std::vector<std::unordered_map<Addr, HomeLineState>> homeLines;
     std::vector<StoreBuffer> writeBuffers;
+    /** Per-requester join pools (see SnoopJoin). */
+    std::vector<Pool<SnoopJoin>> joins;
 
     Counter snoops;
     Counter snoopHitsDirty;

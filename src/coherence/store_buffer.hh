@@ -26,7 +26,7 @@
 #define C3DSIM_COHERENCE_STORE_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -69,21 +69,26 @@ class StoreBuffer
         }
         if (enqueued)
             ++*enqueued;
-        fifo.push_back(Entry{addr, remote});
-        if (fifo.size() > depth) {
+        // A ring of depth + 1 entries (a push may overfill by one
+        // before the force-drain), sized on first use.
+        if (ring.empty())
+            ring.resize(depth + 1);
+        ring[(head + count) % ring.size()] = Entry{addr, remote};
+        ++count;
+        if (count > depth) {
             // Full: the oldest write leaves at once so the buffer
             // never exceeds its depth and nothing is dropped.
             if (fullStalls)
                 ++*fullStalls;
             drainFront();
         }
-        if (!drainScheduled && !fifo.empty()) {
+        if (!drainScheduled && count != 0) {
             drainScheduled = true;
             eq->schedule(latency, [this] { drainEvent(); });
         }
     }
 
-    std::size_t pending() const { return fifo.size(); }
+    std::size_t pending() const { return count; }
 
   private:
     struct Entry
@@ -95,8 +100,9 @@ class StoreBuffer
     void
     drainFront()
     {
-        const Entry e = fifo.front();
-        fifo.pop_front();
+        const Entry e = ring[head];
+        head = (head + 1) % ring.size();
+        --count;
         if (drained)
             ++*drained;
         mem->write(e.addr, e.remote);
@@ -105,12 +111,12 @@ class StoreBuffer
     void
     drainEvent()
     {
-        if (fifo.empty()) {
+        if (count == 0) {
             drainScheduled = false;
             return;
         }
         drainFront();
-        if (fifo.empty()) {
+        if (count == 0) {
             drainScheduled = false;
         } else {
             eq->schedule(latency, [this] { drainEvent(); });
@@ -122,7 +128,10 @@ class StoreBuffer
     std::uint32_t depth = 0;
     Tick latency = 0;
     bool drainScheduled = false;
-    std::deque<Entry> fifo;
+    /** FIFO of buffered writes: count entries from ring[head]. */
+    std::vector<Entry> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
     Counter *enqueued = nullptr;
     Counter *drained = nullptr;
     Counter *fullStalls = nullptr;

@@ -28,6 +28,16 @@ using CoreId = std::uint32_t;
 /** Socket identifier. */
 using SocketId = std::uint32_t;
 
+/**
+ * A socket's in-flight miss: its slot in the requesting socket's
+ * request table. The global protocol carries it from getS/getX to the
+ * completion (Socket::grant) instead of a callback.
+ */
+using MissSlot = std::uint32_t;
+
+/** Bitmask of sockets (bit s = socket s), e.g. invalidation targets. */
+using SocketMask = std::uint64_t;
+
 /** Sentinel for "no tick scheduled". */
 constexpr Tick MaxTick = std::numeric_limits<Tick>::max();
 

@@ -113,9 +113,8 @@ DramCache::predictPresent(Addr addr)
     return predictor.mayBePresent(addr);
 }
 
-void
-DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
-                 bool always_access, std::uint32_t tenant)
+DramCacheProbe
+DramCache::lookup(Addr addr, bool always_access, std::uint32_t tenant)
 {
     const Tick now = eventq.now();
 
@@ -127,8 +126,7 @@ DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
         countTenant(tenant, false);
         DramCacheProbe res;
         res.readyAt = now + predictorLatency;
-        eventq.scheduleAt(res.readyAt, [done, res] { done(res); });
-        return;
+        return res;
     }
 
     const Tick access_start =
@@ -151,7 +149,7 @@ DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
             predictor.recordFalsePresent();
     }
     res.readyAt = ready;
-    eventq.scheduleAt(ready, [done, res] { done(res); });
+    return res;
 }
 
 DramCacheVictim
@@ -189,25 +187,23 @@ DramCache::insert(Addr addr, bool dirty, std::uint32_t tenant)
     return victim;
 }
 
-void
-DramCache::invalidate(Addr addr, std::function<void(bool, bool)> done)
+DramCacheProbe
+DramCache::drop(Addr addr)
 {
     const Tick now = eventq.now();
+    DramCacheProbe res;
 
     if (predictorEnabled && !predictPresent(addr)) {
-        eventq.scheduleAt(now + predictorLatency,
-                          [done] { done(false, false); });
-        return;
+        res.readyAt = now + predictorLatency;
+        return res;
     }
 
     const Tick access_start =
         now + (predictorEnabled ? predictorLatency : 0);
 
-    bool present = false;
-    bool dirty = false;
     if (const TagEntry *e = tags.find(addr)) {
-        present = true;
-        dirty = e->state == CacheState::Modified;
+        res.present = true;
+        res.dirty = e->state == CacheState::Modified;
         dropOwnerAux(e->aux);
         tags.invalidate(addr);
         predictor.onRemove(addr);
@@ -217,9 +213,8 @@ DramCache::invalidate(Addr addr, std::function<void(bool, bool)> done)
     }
     // §III-A: invalidating a (possibly) present block requires the
     // DRAM access -- to check dirtiness and clear the tag.
-    const Tick ready = chargeChannel(addr, access_start + accessLatency);
-    eventq.scheduleAt(ready,
-                      [done, present, dirty] { done(present, dirty); });
+    res.readyAt = chargeChannel(addr, access_start + accessLatency);
+    return res;
 }
 
 DramCacheVictim

@@ -18,8 +18,9 @@
 #define C3DSIM_DRAMCACHE_DRAM_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cache/tag_array.hh"
@@ -73,7 +74,9 @@ class DramCache
      * Probe for the block at @p addr (read path or snoop).
      * Consults the miss predictor first; a predicted-absent block is
      * answered in predictor latency without touching DRAM. @p done
-     * fires when the outcome is known.
+     * (called with a DramCacheProbe) fires when the outcome is known;
+     * it is moved into that event, so it must leave room for the
+     * result inside the event's inline budget.
      * @param always_access bypass the predictor short-circuit and pay
      *        the full DRAM access even for absent blocks (remote
      *        snoop probes, §III-A: the DRAM cache must be searched).
@@ -82,9 +85,17 @@ class DramCache
      *        where the cache's own hit/miss counters tick, and a hit
      *        transfers block ownership to the tenant.
      */
-    void probe(Addr addr, std::function<void(DramCacheProbe)> done,
-               bool always_access = false,
-               std::uint32_t tenant = NoTenant);
+    template <typename F>
+    void
+    probe(Addr addr, F &&done, bool always_access = false,
+          std::uint32_t tenant = NoTenant)
+    {
+        const DramCacheProbe res = lookup(addr, always_access, tenant);
+        scheduleInline(res.readyAt,
+                       [done = std::forward<F>(done), res]() mutable {
+                           done(res);
+                       });
+    }
 
     /**
      * Insert the block at @p addr (an LLC victim).
@@ -101,10 +112,21 @@ class DramCache
     /**
      * Invalidate @p addr if present. @p done receives
      * (wasPresent, wasDirty) when the invalidation has completed;
-     * predicted-absent blocks complete in predictor latency.
+     * predicted-absent blocks complete in predictor latency. As with
+     * probe(), @p done is moved into the completion event.
      */
-    void invalidate(Addr addr,
-                    std::function<void(bool, bool)> done);
+    template <typename F>
+    void
+    invalidate(Addr addr, F &&done)
+    {
+        const DramCacheProbe res = drop(addr);
+        scheduleInline(res.readyAt,
+                       [done = std::forward<F>(done),
+                        present = res.present,
+                        dirty = res.dirty]() mutable {
+                           done(present, dirty);
+                       });
+    }
 
     /**
      * Refresh the cached copy of @p addr with clean data (downgrade /
@@ -147,6 +169,24 @@ class DramCache
     }
 
   private:
+    /** probe()'s lookup: counters, predictor, channel, outcome. */
+    DramCacheProbe lookup(Addr addr, bool always_access,
+                          std::uint32_t tenant);
+
+    /** invalidate()'s state change; readyAt is the completion tick. */
+    DramCacheProbe drop(Addr addr);
+
+    /** Schedule a completion that must not spill to the heap. */
+    template <typename Fn>
+    void
+    scheduleInline(Tick when, Fn &&fn)
+    {
+        static_assert(
+            EventQueue::Callback::fitsInline<std::decay_t<Fn>>,
+            "DRAM-cache completion over the inline budget");
+        eventq.scheduleAt(when, std::forward<Fn>(fn));
+    }
+
     /** Serialize an access burst on the channel for @p addr. */
     Tick chargeChannel(Addr addr, Tick start);
 

@@ -14,6 +14,12 @@
  *    stored inside the event (64-byte budget), so the common schedule
  *    path performs no heap allocation.
  *
+ *  - Near-future events live in one pool of nodes, and each bucket is
+ *    an intrusive FIFO list through it. A drained event's node goes
+ *    back on a free list, so the pool only grows when the number of
+ *    pending events passes its high-water mark -- a steady-state run
+ *    allocates nothing, however its events spread over the ring.
+ *
  *  - The queue is a hierarchical timing wheel: a ring of WheelBuckets
  *    one-tick buckets covers the near future [base, base + span), and
  *    a binary min-heap absorbs events scheduled further out. Almost
@@ -57,7 +63,7 @@ namespace c3d
 class EventQueue
 {
   public:
-    using Callback = InlineFunction;
+    using Callback = InlineFunction<>;
 
     /** Wheel size: one-tick buckets covering [base, base + span). */
     static constexpr std::size_t WheelBuckets = 4096;
@@ -108,8 +114,7 @@ class EventQueue
         // wheelBase <= currentTick <= when always holds, so the
         // subtraction cannot wrap.
         if (when - wheelBase < WheelSpan) {
-            claimBucket(when).events.push_back(std::move(cb));
-            ++wheelCount;
+            append(when, std::move(cb));
         } else {
             overflow.push_back(
                 FarEvent{when, nextFarSequence++, std::move(cb)});
@@ -194,8 +199,9 @@ class EventQueue
             return "queue empty";
         std::size_t head = 0;
         if (wheelCount != 0) {
-            const Bucket &b = buckets[idx];
-            head = b.events.size() - b.head;
+            for (std::uint32_t n = buckets[idx].head; n != NoNode;
+                 n = nodes[n].next)
+                ++head;
         } else {
             for (const FarEvent &fe : overflow)
                 head += fe.when == t;
@@ -210,16 +216,16 @@ class EventQueue
 
     /**
      * Drop all pending events and rewind time to zero. O(buckets +
-     * pending): bucket storage is clear()ed in place (capacity kept
+     * pending): the node pool is clear()ed in place (capacity kept
      * for reuse), not drained event by event.
      */
     void
     reset()
     {
-        for (Bucket &b : buckets) {
-            b.events.clear();
-            b.head = 0;
-        }
+        for (Bucket &b : buckets)
+            b = Bucket{};
+        nodes.clear();
+        freeNodes = NoNode;
         occupied.fill(0);
         summary = 0;
         overflow.clear();
@@ -235,6 +241,8 @@ class EventQueue
     }
 
   private:
+    static constexpr std::uint32_t NoNode = ~std::uint32_t(0);
+
     /**
      * One tick's events. Only one tick can map to a bucket at a time:
      * live ticks all lie in [wheelBase, wheelBase + span), which maps
@@ -242,9 +250,16 @@ class EventQueue
      */
     struct Bucket
     {
-        std::vector<Callback> events;
-        std::size_t head = 0; //!< next event to execute
-        Tick tick = 0;        //!< tick of the resident events
+        std::uint32_t head = NoNode; //!< next event to execute
+        std::uint32_t tail = NoNode; //!< last event appended
+        Tick tick = 0;               //!< tick of the resident events
+    };
+
+    /** A pooled near-future event: its callback and FIFO link. */
+    struct Node
+    {
+        Callback cb;
+        std::uint32_t next = NoNode; //!< bucket successor / free link
     };
 
     /** A far-future event parked in the overflow heap. */
@@ -355,15 +370,35 @@ class EventQueue
     claimBucket(Tick when)
     {
         Bucket &b = buckets[when & WheelMask];
-        if (b.head == b.events.size()) {
+        if (b.head == NoNode) {
             // First event for this tick: claim the bucket.
-            b.events.clear();
-            b.head = 0;
             b.tick = when;
             setOccupied(when & WheelMask);
         }
         c3d_assert(b.tick == when, "wheel bucket tick collision");
         return b;
+    }
+
+    /** Append @p cb to tick @p when's bucket (inside the horizon). */
+    void
+    append(Tick when, Callback &&cb)
+    {
+        Bucket &b = claimBucket(when);
+        std::uint32_t n = freeNodes;
+        if (n == NoNode) {
+            n = static_cast<std::uint32_t>(nodes.size());
+            nodes.emplace_back();
+        } else {
+            freeNodes = nodes[n].next;
+        }
+        nodes[n].cb = std::move(cb);
+        nodes[n].next = NoNode;
+        if (b.tail == NoNode)
+            b.head = n;
+        else
+            nodes[b.tail].next = n;
+        b.tail = n;
+        ++wheelCount;
     }
 
     /**
@@ -383,8 +418,7 @@ class EventQueue
             std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
             FarEvent fe = std::move(overflow.back());
             overflow.pop_back();
-            claimBucket(fe.when).events.push_back(std::move(fe.cb));
-            ++wheelCount;
+            append(fe.when, std::move(fe.cb));
         }
     }
 
@@ -399,15 +433,17 @@ class EventQueue
         // Move the callback out -- and finish all bookkeeping --
         // before invoking it, so the callback may freely schedule
         // further events (including into this same bucket).
-        Callback cb = std::move(b.events[b.head]);
-        ++b.head;
-        --wheelCount;
-        ++executed;
-        if (b.head == b.events.size()) {
-            b.events.clear(); // keeps capacity for the next tenant
-            b.head = 0;
+        const std::uint32_t n = b.head;
+        Callback cb = std::move(nodes[n].cb);
+        b.head = nodes[n].next;
+        if (b.head == NoNode) {
+            b.tail = NoNode;
             clearOccupied(idx);
         }
+        nodes[n].next = freeNodes;
+        freeNodes = n;
+        --wheelCount;
+        ++executed;
         if (wd)
             watchdogCheck(t);
         cb();
@@ -458,6 +494,9 @@ class EventQueue
     }
 
     std::vector<Bucket> buckets;
+    /** Near-future events, linked into their buckets' FIFOs. */
+    std::vector<Node> nodes;
+    std::uint32_t freeNodes = NoNode;
     /** Two-level occupancy bitmap over the buckets. */
     std::array<std::uint64_t, WheelBuckets / 64> occupied{};
     std::uint64_t summary = 0;

@@ -7,8 +7,15 @@
  * moment the capture outgrows the library's small-object buffer
  * (16 bytes on libstdc++). InlineFunction raises that budget to
  * InlineBytes so every continuation the simulator actually schedules
- * (socket, CPU, memory-controller and interconnect hops) is stored
- * in-place inside the event itself.
+ * is stored in-place inside the event itself. The budget holds
+ * because no continuation nests another one: state that outlives an
+ * event (a miss, an invalidation fan-in, a broadcast join) is parked
+ * in a slot or pool entry and the event captures only its id (see
+ * docs/perf.md, "The slot discipline").
+ *
+ * InlineFunction<void()> is the event callback; other signatures
+ * (e.g. InlineFunction<void(bool)> for an invalidation fan-in) hold
+ * continuations parked in pool entries.
  *
  * Callables larger than InlineBytes (or over-aligned, or with a
  * throwing move) still work -- they fall back to a single heap
@@ -30,32 +37,41 @@
 namespace c3d
 {
 
-/** Move-only `void()` callable with inline small-buffer storage. */
-class InlineFunction
+template <typename Sig = void()>
+class InlineFunction;
+
+/** Move-only `void(Args...)` callable with inline small-buffer storage. */
+template <typename... Args>
+class InlineFunction<void(Args...)>
 {
   public:
     /**
-     * Inline capture budget, in bytes. Sized for the largest capture
-     * the simulator schedules: a `this` pointer, a block address, a
-     * handful of scalars, and one nested std::function continuation
-     * (32 bytes on libstdc++). See docs/perf.md before growing a
-     * capture past this.
+     * Inline capture budget, in bytes: a `this` pointer, a block
+     * address and a handful of scalars or slot ids, with room for
+     * one small caller continuation (such as a protocol's probe
+     * callback) wrapped around them. See docs/perf.md before growing
+     * a capture past this.
      */
     static constexpr std::size_t InlineBytes = 64;
     static constexpr std::size_t InlineAlign = 16;
+
+    /** Whether a callable of type @p Fn is stored without the heap. */
+    template <typename Fn>
+    static constexpr bool fitsInline =
+        sizeof(Fn) <= InlineBytes && alignof(Fn) <= InlineAlign &&
+        std::is_nothrow_move_constructible_v<Fn>;
 
     InlineFunction() noexcept = default;
 
     template <typename F,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
+                  std::is_invocable_r_v<void, std::decay_t<F> &,
+                                        Args...>>>
     InlineFunction(F &&f) // NOLINT: implicit by design
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= InlineBytes &&
-                      alignof(Fn) <= InlineAlign &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
+        if constexpr (fitsInline<Fn>) {
             ::new (static_cast<void *>(storage)) Fn(std::forward<F>(f));
             ops = &InlineModel<Fn>::ops;
         } else {
@@ -112,10 +128,10 @@ class InlineFunction
     }
 
     void
-    operator()()
+    operator()(Args... args)
     {
         c3d_assert(ops, "invoking an empty InlineFunction");
-        ops->invoke(storage);
+        ops->invoke(storage, std::forward<Args>(args)...);
     }
 
     explicit operator bool() const noexcept { return ops != nullptr; }
@@ -126,7 +142,7 @@ class InlineFunction
   private:
     struct Ops
     {
-        void (*invoke)(void *);
+        void (*invoke)(void *, Args...);
         /** Move-construct dst from src, then destroy src. */
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
@@ -138,7 +154,11 @@ class InlineFunction
     {
         static Fn *at(void *s) { return std::launder(
             reinterpret_cast<Fn *>(s)); }
-        static void invoke(void *s) { (*at(s))(); }
+        static void
+        invoke(void *s, Args... args)
+        {
+            (*at(s))(std::forward<Args>(args)...);
+        }
         static void
         relocate(void *dst, void *src) noexcept
         {
@@ -156,7 +176,11 @@ class InlineFunction
             alignof(Fn) <= alignof(std::max_align_t);
         static Fn *&at(void *s) { return *std::launder(
             reinterpret_cast<Fn **>(s)); }
-        static void invoke(void *s) { (*at(s))(); }
+        static void
+        invoke(void *s, Args... args)
+        {
+            (*at(s))(std::forward<Args>(args)...);
+        }
         static void
         relocate(void *dst, void *src) noexcept
         {

@@ -40,182 +40,184 @@ Socket::Socket(EventQueue &eq, const SystemConfig &cfg, SocketId id,
 // CPU-facing path
 // --------------------------------------------------------------------
 
-void
-Socket::sampleLoadLatency(std::uint32_t core, Tick start)
+MissSlot
+Socket::takeSlot(std::uint32_t core, Addr blk, bool write,
+                 bool private_page, EventQueue::Callback done)
 {
-    const Tick lat = eventq.now() - start;
-    loadLatency.sample(lat);
-    if (TenantStatSet *t = tenantFor(core))
-        t->memLatency.sample(lat);
+    MissSlot slot = freeSlots;
+    if (slot == NoSlot) {
+        slot = static_cast<MissSlot>(requests.size());
+        requests.emplace_back();
+    } else {
+        freeSlots = requests[slot].next;
+    }
+    Request &r = requests[slot];
+    r.blk = blk;
+    r.start = eventq.now();
+    r.done = std::move(done);
+    r.core = core;
+    r.next = NoSlot;
+    r.write = write;
+    r.privatePage = private_page;
+    return slot;
 }
 
 void
-Socket::sampleStoreLatency(std::uint32_t core, Tick start)
+Socket::complete(MissSlot slot)
 {
-    const Tick lat = eventq.now() - start;
-    storeLatency.sample(lat);
-    if (TenantStatSet *t = tenantFor(core))
+    Request &r = requests[slot];
+    const Tick lat = eventq.now() - r.start;
+    (r.write ? storeLatency : loadLatency).sample(lat);
+    if (TenantStatSet *t = tenantFor(r.core))
         t->memLatency.sample(lat);
+    // Free the slot before running the callback: the core may issue
+    // its next access (and take a slot) from inside it.
+    EventQueue::Callback done = std::move(r.done);
+    r.next = freeSlots;
+    freeSlots = slot;
+    done();
 }
 
 void
-Socket::load(std::uint32_t core, Addr addr, std::function<void()> done)
+Socket::load(std::uint32_t core, Addr addr, EventQueue::Callback done)
 {
     ++loads;
     if (TenantStatSet *t = tenantFor(core))
         ++t->loads;
     const Addr blk = blockAlign(addr);
-    const Tick start = eventq.now();
+    const MissSlot slot = takeSlot(core, blk, /*write=*/false,
+                                   /*private_page=*/false,
+                                   std::move(done));
 
     TagArray &l1 = l1s[core];
     if (TagEntry *e = l1.find(blk)) {
         ++l1HitCount;
         l1.touch(e);
-        eventq.schedule(cfg.l1Latency,
-                        [this, core, start, done = std::move(done)] {
-            sampleLoadLatency(core, start);
-            done();
-        });
+        eventq.schedule(cfg.l1Latency, [this, slot] { complete(slot); });
         return;
     }
     ++l1MissCount;
-    // Capture the raw pieces, not a pre-built latency-sampling
-    // closure: nesting a lambda inside a lambda would push the
-    // capture past the event's inline-storage budget.
-    eventq.schedule(cfg.l1Latency, [this, core, blk, start,
-                                    done = std::move(done)]() mutable {
-        accessLlcForRead(core, blk,
-                         [this, core, start, done = std::move(done)] {
-            sampleLoadLatency(core, start);
-            done();
-        });
-    });
+    eventq.schedule(cfg.l1Latency,
+                    [this, slot] { accessLlcForRead(slot); });
 }
 
 void
-Socket::accessLlcForRead(std::uint32_t core, Addr blk,
-                         std::function<void()> done)
+Socket::accessLlcForRead(MissSlot slot)
 {
+    const std::uint32_t core = requests[slot].core;
+    const Addr blk = requests[slot].blk;
     if (TagEntry *e = llc.find(blk)) {
         ++llcHitCount;
         llc.touch(e);
         e->aux |= (1ull << core);
+        // Install into the L1 as Shared unless this core is the sole
+        // owner of a Modified block.
         const CacheState l1_state = e->state == CacheState::Modified &&
             e->aux == (1ull << core)
             ? CacheState::Modified : CacheState::Shared;
         // Data hit: tag + data access.
         eventq.schedule(cfg.llcTagLatency + cfg.llcDataLatency,
-                        [this, core, blk, l1_state,
-                         done = std::move(done)]() mutable {
-            // Install into the L1 as Shared unless this core is the
-            // sole owner of a Modified block.
-            fillL1(core, blk,
-                   l1_state == CacheState::Modified
-                   ? CacheState::Modified : CacheState::Shared);
-            done();
+                        [this, slot, l1_state] {
+            fillL1(requests[slot].core, requests[slot].blk, l1_state);
+            complete(slot);
         });
         return;
     }
 
     ++llcMissCount;
     // Tag miss known after the tag access.
-    eventq.schedule(cfg.llcTagLatency, [this, core, blk,
-                                        done = std::move(done)]() mutable {
-        if (dcache) {
-            // The tenant tag rides into the cache so hits/misses are
-            // counted exactly where the cache's own counters tick
-            // (exact attribution even under racing invalidations).
-            dcache->probe(blk, [this, core, blk,
-                                done = std::move(done)]
-                          (DramCacheProbe res) mutable {
-                // Re-validate at fill time: an invalidation may have
-                // raced with the probe (the in-flight access is
-                // squashed, as a transient MSHR state would).
-                if (res.present && dcache->contains(blk)) {
-                    // Local DRAM-cache hit: the fast path that makes
-                    // private DRAM caches attack the NUMA bottleneck.
-                    fillRead(core, blk);
-                    done();
-                } else {
-                    issueGetS(core, blk, std::move(done));
-                }
-            }, /*always_access=*/false, tenantIdxFor(core));
-        } else {
-            issueGetS(core, blk, std::move(done));
+    eventq.schedule(cfg.llcTagLatency, [this, slot] {
+        if (!dcache) {
+            issueGetS(slot);
+            return;
         }
+        // The tenant tag rides into the cache so hits/misses are
+        // counted exactly where the cache's own counters tick (exact
+        // attribution even under racing invalidations).
+        const Request &r = requests[slot];
+        dcache->probe(r.blk, [this, slot](DramCacheProbe res) {
+            // Re-validate at fill time: an invalidation may have
+            // raced with the probe (the in-flight access is squashed,
+            // as a transient MSHR state would).
+            const Addr blk = requests[slot].blk;
+            if (res.present && dcache->contains(blk)) {
+                // Local DRAM-cache hit: the fast path that makes
+                // private DRAM caches attack the NUMA bottleneck.
+                fillRead(requests[slot].core, blk);
+                complete(slot);
+            } else {
+                issueGetS(slot);
+            }
+        }, /*always_access=*/false, tenantIdxFor(r.core));
     });
 }
 
 void
-Socket::issueGetS(std::uint32_t core, Addr blk,
-                  std::function<void()> done)
+Socket::issueGetS(MissSlot slot)
 {
-    auto it = pendingReads.find(blk);
-    if (it != pendingReads.end()) {
-        // Merge with the outstanding GetS (MSHR hit).
+    const Addr blk = requests[slot].blk;
+    auto [pending, inserted] = pendingReads.emplace(blockNumber(blk));
+    if (!inserted) {
+        // Merge with the outstanding GetS (MSHR hit): chain behind
+        // the last waiter.
         ++mergedReads;
-        it->second.waiters.push_back(
-            [this, core, blk, done = std::move(done)]() mutable {
-                // The primary requester filled the LLC unless the
-                // fill was squashed by a racing invalidation.
-                if (llc.find(blk))
-                    fillL1(core, blk, CacheState::Shared);
-                done();
-            });
+        requests[pending->tail].next = slot;
+        pending->tail = slot;
         return;
     }
-
+    pending->tail = slot;
     ++getSIssued;
-    pendingReads.emplace(blk, PendingRead{});
-    protocol->getS(socketId, blk, [this, core, blk,
-                                   done = std::move(done)]() mutable {
-        PendingRead pending = std::move(pendingReads[blk]);
-        pendingReads.erase(blk);
-        // A racing invalidation poisoned the fill: the loads still
-        // complete with the pre-write value, but nothing is cached.
-        if (!pending.poisoned)
-            fillRead(core, blk);
-        done();
-        for (auto &w : pending.waiters)
-            w();
-    });
+    protocol->getS(socketId, blk, slot);
+}
+
+void
+Socket::readGranted(MissSlot slot)
+{
+    const Addr blk = requests[slot].blk;
+    const PendingRead *pending = pendingReads.find(blockNumber(blk));
+    c3d_assert(pending, "GetS completed without a pending read");
+    const bool poisoned = pending->poisoned;
+    pendingReads.erase(blockNumber(blk));
+    // A racing invalidation poisoned the fill: the loads still
+    // complete with the pre-write value, but nothing is cached.
+    if (!poisoned)
+        fillRead(requests[slot].core, blk);
+    MissSlot w = requests[slot].next;
+    complete(slot);
+    // The merged loads, in issue order. The primary requester filled
+    // the LLC unless the fill was squashed by a racing invalidation.
+    while (w != NoSlot) {
+        const MissSlot next = requests[w].next;
+        if (llc.find(blk))
+            fillL1(requests[w].core, blk, CacheState::Shared);
+        complete(w);
+        w = next;
+    }
 }
 
 void
 Socket::store(std::uint32_t core, Addr addr, bool private_page,
-              std::function<void()> done_raw)
+              EventQueue::Callback done)
 {
     ++stores;
     if (TenantStatSet *t = tenantFor(core))
         ++t->stores;
     const Addr blk = blockAlign(addr);
-    const Tick start = eventq.now();
+    const MissSlot slot = takeSlot(core, blk, /*write=*/true,
+                                   private_page, std::move(done));
 
     TagArray &l1 = l1s[core];
     if (TagEntry *e = l1.find(blk);
         e && e->state == CacheState::Modified) {
         l1.touch(e);
-        eventq.schedule(cfg.l1Latency, [this, core, start,
-                                        done_raw = std::move(done_raw)] {
-            sampleStoreLatency(core, start);
-            done_raw();
-        });
+        eventq.schedule(cfg.l1Latency, [this, slot] { complete(slot); });
         return;
     }
 
     // Need the LLC's view (local directory, 7-cycle embedded tag).
-    // As in load(), the latency-sampling wrapper is built inside the
-    // continuation so the scheduled capture stays within the event's
-    // inline-storage budget; the capture order packs the bool into
-    // core's padding.
-    eventq.schedule(cfg.l1Latency + cfg.localDirLatency,
-                    [this, core, private_page, blk, start,
-                     done_raw = std::move(done_raw)]() mutable {
-        auto done = [this, core, start,
-                     done_raw = std::move(done_raw)] {
-            sampleStoreLatency(core, start);
-            done_raw();
-        };
+    eventq.schedule(cfg.l1Latency + cfg.localDirLatency, [this, slot] {
+        const std::uint32_t core = requests[slot].core;
+        const Addr blk = requests[slot].blk;
         TagEntry *e = llc.find(blk);
         if (e && e->state == CacheState::Modified) {
             // Socket already owns the block: invalidate sibling L1
@@ -225,38 +227,45 @@ Socket::store(std::uint32_t core, Addr addr, bool private_page,
                                 static_cast<std::int32_t>(core));
             e->aux = (1ull << core);
             fillL1(core, blk, CacheState::Modified);
-            eventq.schedule(cfg.llcDataLatency, std::move(done));
+            eventq.schedule(cfg.llcDataLatency,
+                            [this, slot] { complete(slot); });
             return;
         }
-        if (e && e->state == CacheState::Shared) {
-            issueGetX(core, blk, /*upgrade=*/true, private_page,
-                      std::move(done));
-            return;
-        }
-        issueGetX(core, blk, /*upgrade=*/false, private_page,
-                  std::move(done));
+        issueGetX(slot,
+                  /*upgrade=*/e && e->state == CacheState::Shared);
     });
 }
 
 void
-Socket::issueGetX(std::uint32_t core, Addr blk, bool upgrade,
-                  bool private_page, std::function<void()> done)
+Socket::issueGetX(MissSlot slot, bool upgrade)
 {
     if (upgrade)
         ++upgradesIssued;
     else
         ++getXIssued;
+    const Request &r = requests[slot];
+    protocol->getX(socketId, r.blk, upgrade, r.privatePage, slot);
+}
 
-    protocol->getX(socketId, blk, upgrade, private_page,
-                   [this, core, blk, done = std::move(done)]() mutable {
-        fillWrite(core, blk);
-        // The local DRAM cache may hold a now-stale clean copy of the
-        // block; kill it off the critical path.
-        if (dcache && dcache->contains(blk)) {
-            dcache->invalidate(blk, [](bool, bool) {});
-        }
-        done();
-    });
+void
+Socket::writeGranted(MissSlot slot)
+{
+    const Addr blk = requests[slot].blk;
+    fillWrite(requests[slot].core, blk);
+    // The local DRAM cache may hold a now-stale clean copy of the
+    // block; kill it off the critical path.
+    if (dcache && dcache->contains(blk))
+        dcache->invalidate(blk, [](bool, bool) {});
+    complete(slot);
+}
+
+void
+Socket::grant(MissSlot slot)
+{
+    if (requests[slot].write)
+        writeGranted(slot);
+    else
+        readGranted(slot);
 }
 
 // --------------------------------------------------------------------
@@ -340,7 +349,7 @@ Socket::handleLlcVictim(Addr victim, CacheState state,
         // block live in the DRAM cache. A victim with an invalidation
         // probe in flight is dying: the insert is squashed (dirty
         // data still reaches memory through a writeback).
-        if (invInFlight.find(victim) == invInFlight.end()) {
+        if (!invInFlight.find(blockNumber(victim))) {
             const bool insert_dirty = dirty && cfg.dirtyDramCache();
             DramCacheVictim dv = dcache->insert(victim, insert_dirty);
             if (dv.valid)
@@ -367,8 +376,8 @@ Socket::invalidateOnChip(Addr addr)
         watchTrace(eventq.now(), "invalidateOnChip", "socket %u",
                    socketId);
     // Squash any in-flight read fill for this block.
-    if (auto it = pendingReads.find(blk); it != pendingReads.end())
-        it->second.poisoned = true;
+    if (PendingRead *p = pendingReads.find(blockNumber(blk)))
+        p->poisoned = true;
     CacheState old_state = CacheState::Invalid;
     if (TagEntry *e = llc.find(blk)) {
         old_state = e->state;
@@ -413,165 +422,73 @@ Socket::downgradeL1Sharers(Addr blk, std::uint64_t sharers)
 // --------------------------------------------------------------------
 
 void
-Socket::probeInvalidate(Addr addr, std::function<void(bool)> done)
+Socket::endInvalidation(Addr blk)
 {
-    const Addr blk = blockAlign(addr);
-
-    if (dcache) {
-        // §IV-C: invalidations go DRAM cache first, then on-chip.
-        // While the probe is in flight, LLC-victim inserts for this
-        // block are squashed (see handleLlcVictim).
-        ++invInFlight[blk];
-        dcache->invalidate(blk, [this, blk, done = std::move(done)]
-                           (bool, bool dc_dirty) mutable {
-            eventq.schedule(cfg.localDirLatency,
-                            [this, blk, dc_dirty,
-                             done = std::move(done)]() mutable {
-                const CacheState s = invalidateOnChip(blk);
-                auto it = invInFlight.find(blk);
-                if (it != invInFlight.end() && --it->second == 0)
-                    invInFlight.erase(it);
-                done(dc_dirty || s == CacheState::Modified);
-            });
-        });
-    } else {
-        eventq.schedule(cfg.localDirLatency,
-                        [this, blk, done = std::move(done)]() mutable {
-            const CacheState s = invalidateOnChip(blk);
-            done(s == CacheState::Modified);
-        });
-    }
+    InFlight *f = invInFlight.find(blockNumber(blk));
+    if (f && --f->count == 0)
+        invInFlight.erase(blockNumber(blk));
 }
 
-void
-Socket::probeDowngrade(Addr addr, std::function<void(bool)> done)
+bool
+Socket::downgradeOnChip(Addr blk)
 {
-    const Addr blk = blockAlign(addr);
+    TagEntry *e = llc.find(blk);
+    if (watchingBlock(blk))
+        watchTrace(eventq.now(), "probeDowngrade",
+                   "socket %u llc_state %d", socketId,
+                   e ? static_cast<int>(e->state) : -1);
+    if (!e || e->state != CacheState::Modified)
+        return false;
+    // Downgrade M->S; dirty L1 copies fold into the LLC (local
+    // directory pulls them in) and are downgraded too, so no core
+    // retains silent write permission.
+    e->state = CacheState::Shared;
+    downgradeL1Sharers(blk, e->aux);
+    // Refresh the (possibly stale) DRAM-cache copy so a later silent
+    // LLC eviction cannot expose stale data: the
+    // PutX-through-DRAM-cache path of §IV-C.
+    if (dcache) {
+        DramCacheVictim dv = dcache->updateClean(blk);
+        if (dv.valid)
+            protocol->dramCacheEvicted(socketId, dv.addr, dv.dirty);
+    }
+    return true;
+}
 
-    eventq.schedule(cfg.localDirLatency,
-                    [this, blk, done = std::move(done)]() mutable {
-        TagEntry *e = llc.find(blk);
-        if (watchingBlock(blk))
-            watchTrace(eventq.now(), "probeDowngrade",
-                       "socket %u llc_state %d", socketId,
-                       e ? static_cast<int>(e->state) : -1);
-        if (e && e->state == CacheState::Modified) {
-            // Downgrade M->S; dirty L1 copies fold into the LLC
-            // (local directory pulls them in) and are downgraded too,
-            // so no core retains silent write permission.
+SnoopResult
+Socket::snoopResolve(Addr blk, bool is_write, bool retain_dirty,
+                     bool dc_present, bool dc_dirty)
+{
+    SnoopResult res;
+    res.present = dc_present;
+    res.suppliedDirty = dc_dirty;
+    TagEntry *e = llc.find(blk);
+    if (e) {
+        res.present = true;
+        if (e->state == CacheState::Modified)
+            res.suppliedDirty = true;
+        if (is_write) {
+            invalidateOnChip(blk);
+        } else if (e->state == CacheState::Modified) {
             e->state = CacheState::Shared;
             downgradeL1Sharers(blk, e->aux);
-            // Refresh the (possibly stale) DRAM-cache copy so a later
-            // silent LLC eviction cannot expose stale data: the
-            // PutX-through-DRAM-cache path of §IV-C.
-            if (dcache) {
-                DramCacheVictim dv = dcache->updateClean(blk);
+            if (retain_dirty && dcache) {
+                // MOESI owned state: the supplier forwards the data
+                // but stays responsible for the dirty block. The LLC
+                // downgrades (so local stores re-arbitrate), and the
+                // dirtiness parks in the DRAM cache until evicted.
+                DramCacheVictim dv = dcache->insert(blk, true);
                 if (dv.valid)
                     protocol->dramCacheEvicted(socketId, dv.addr,
                                                dv.dirty);
             }
-            // LLC data read to forward the block.
-            eventq.schedule(cfg.llcDataLatency,
-                            [done = std::move(done)] { done(true); });
-            return;
         }
-        // Not modified on chip; dirty designs may hold the dirty
-        // block in the DRAM cache.
-        if (dcache && cfg.dirtyDramCache()) {
-            dcache->probe(blk, [this, blk, done = std::move(done)]
-                          (DramCacheProbe res) mutable {
-                if (res.present && res.dirty) {
-                    // Supply data and keep a clean copy.
-                    DramCacheVictim dv = dcache->updateClean(blk);
-                    (void)dv; // update of resident block: no victim
-                    done(true);
-                } else {
-                    done(false);
-                }
-            });
-            return;
-        }
-        done(false);
-    });
-}
-
-void
-Socket::snoopProbe(Addr addr, bool is_write,
-                   std::function<void(SnoopResult)> done,
-                   bool retain_dirty)
-{
-    const Addr blk = blockAlign(addr);
-
-    auto on_chip = [this, blk, is_write, retain_dirty,
-                    done = std::move(done)](bool dc_present,
-                                            bool dc_dirty) mutable {
-        eventq.schedule(cfg.localDirLatency,
-                        [this, blk, is_write, retain_dirty,
-                         dc_present, dc_dirty,
-                         done = std::move(done)]() mutable {
-            SnoopResult res;
-            res.present = dc_present;
-            res.suppliedDirty = dc_dirty;
-            TagEntry *e = llc.find(blk);
-            if (e) {
-                res.present = true;
-                if (e->state == CacheState::Modified)
-                    res.suppliedDirty = true;
-                if (is_write) {
-                    invalidateOnChip(blk);
-                } else if (e->state == CacheState::Modified) {
-                    e->state = CacheState::Shared;
-                    downgradeL1Sharers(blk, e->aux);
-                    if (retain_dirty && dcache) {
-                        // MOESI owned state: the supplier forwards
-                        // the data but stays responsible for the
-                        // dirty block. The LLC downgrades (so local
-                        // stores re-arbitrate), and the dirtiness
-                        // parks in the DRAM cache until evicted.
-                        DramCacheVictim dv = dcache->insert(blk,
-                                                            true);
-                        if (dv.valid)
-                            protocol->dramCacheEvicted(socketId,
-                                                       dv.addr,
-                                                       dv.dirty);
-                    }
-                }
-            }
-            if (is_write && dcache) {
-                // Close the insert-squash window opened below only
-                // after the on-chip invalidation has applied.
-                auto it = invInFlight.find(blk);
-                if (it != invInFlight.end() && --it->second == 0)
-                    invInFlight.erase(it);
-            }
-            done(res);
-        });
-    };
-
-    if (dcache) {
-        if (is_write) {
-            ++invInFlight[blk];
-            dcache->invalidate(blk, [on_chip = std::move(on_chip)]
-                               (bool present, bool dirty) mutable {
-                on_chip(present, dirty);
-            });
-        } else {
-            // §III-A: a snoop must search the DRAM cache; the full
-            // access sits on the requester's critical path.
-            dcache->probe(blk, [this, blk, retain_dirty,
-                                on_chip = std::move(on_chip)]
-                          (DramCacheProbe res) mutable {
-                if (res.present && res.dirty && !retain_dirty) {
-                    // Forwarding a dirty block cleans it (memory is
-                    // updated by the requester-side protocol).
-                    dcache->updateClean(blk);
-                }
-                on_chip(res.present, res.present && res.dirty);
-            }, /*always_access=*/true);
-        }
-    } else {
-        on_chip(false, false);
     }
+    // Close the insert-squash window snoopProbe opened only after
+    // the on-chip invalidation has applied.
+    if (is_write && dcache)
+        endInvalidation(blk);
+    return res;
 }
 
 CacheState

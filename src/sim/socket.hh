@@ -15,12 +15,12 @@
 #define C3DSIM_SIM_SOCKET_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/tag_array.hh"
+#include "common/block_map.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -78,7 +78,7 @@ class Socket
      * Core @p core (socket-local index) loads the block at @p addr.
      * @p done fires when the data is available to the core.
      */
-    void load(std::uint32_t core, Addr addr, std::function<void()> done);
+    void load(std::uint32_t core, Addr addr, EventQueue::Callback done);
 
     /**
      * Core @p core stores to the block at @p addr. @p done fires when
@@ -87,9 +87,21 @@ class Socket
      * @param private_page TLB classification hint (§IV-D).
      */
     void store(std::uint32_t core, Addr addr, bool private_page,
-               std::function<void()> done);
+               EventQueue::Callback done);
+
+    /**
+     * The protocol's completion of the GetS or GetX issued for miss
+     * slot @p slot (the MissSlot handed to GlobalProtocol::getS/getX):
+     * the data or write permission has arrived at this socket. Runs
+     * on this socket's queue.
+     */
+    void grant(MissSlot slot);
 
     // ---- protocol-facing remote-side operations -----------------------
+    // The probes are templates so the caller's continuation is moved,
+    // never wrapped, into the events below: it may use at most the
+    // inline budget left over by the probe's own captures (about 24
+    // bytes; a [this, id, pointer] capture).
 
     /**
      * Invalidate every copy of @p addr on this socket (DRAM cache
@@ -97,7 +109,36 @@ class Socket
      * dirty copy existed (its data is then forwarded / written back
      * by the caller).
      */
-    void probeInvalidate(Addr addr, std::function<void(bool)> done);
+    template <typename F>
+    void
+    probeInvalidate(Addr addr, F &&done)
+    {
+        const Addr blk = blockAlign(addr);
+        if (dcache) {
+            // §IV-C: invalidations go DRAM cache first, then on-chip.
+            // While the probe is in flight, LLC-victim inserts for
+            // this block are squashed (see handleLlcVictim).
+            ++invInFlight.emplace(blockNumber(blk)).first->count;
+            dcache->invalidate(blk, [this, blk,
+                                     done = std::forward<F>(done)]
+                               (bool, bool dc_dirty) mutable {
+                eventq.schedule(cfg.localDirLatency,
+                                [this, blk, dc_dirty,
+                                 done = std::move(done)]() mutable {
+                    const CacheState s = invalidateOnChip(blk);
+                    endInvalidation(blk);
+                    done(dc_dirty || s == CacheState::Modified);
+                });
+            });
+        } else {
+            eventq.schedule(cfg.localDirLatency,
+                            [this, blk,
+                             done = std::forward<F>(done)]() mutable {
+                const CacheState s = invalidateOnChip(blk);
+                done(s == CacheState::Modified);
+            });
+        }
+    }
 
     /**
      * Downgrade this socket's copy of @p addr to Shared for a remote
@@ -106,7 +147,39 @@ class Socket
      * dirty DRAM-cache copy (dirty designs) is marked clean and
      * reports dirty.
      */
-    void probeDowngrade(Addr addr, std::function<void(bool)> done);
+    template <typename F>
+    void
+    probeDowngrade(Addr addr, F &&done)
+    {
+        const Addr blk = blockAlign(addr);
+        eventq.schedule(cfg.localDirLatency,
+                        [this, blk,
+                         done = std::forward<F>(done)]() mutable {
+            if (downgradeOnChip(blk)) {
+                // LLC data read to forward the block.
+                eventq.schedule(cfg.llcDataLatency,
+                                [done = std::move(done)]() mutable {
+                    done(true);
+                });
+                return;
+            }
+            // Not modified on chip; dirty designs may hold the dirty
+            // block in the DRAM cache.
+            if (dcache && cfg.dirtyDramCache()) {
+                dcache->probe(blk, [this, blk, done = std::move(done)]
+                              (DramCacheProbe res) mutable {
+                    const bool dirty = res.present && res.dirty;
+                    // Supply data and keep a clean copy (an update of
+                    // a resident block: no victim).
+                    if (dirty)
+                        dcache->updateClean(blk);
+                    done(dirty);
+                });
+                return;
+            }
+            done(false);
+        });
+    }
 
     /**
      * Snoopy-protocol probe: search DRAM cache and LLC; a dirty copy
@@ -115,10 +188,41 @@ class Socket
      * With @p retain_dirty (MOESI owned state, Dragon), a read probe
      * that finds dirty data supplies it but keeps the dirty copy
      * (parked in the DRAM cache) instead of cleaning itself.
+     * @p done receives a SnoopResult.
      */
-    void snoopProbe(Addr addr, bool is_write,
-                    std::function<void(SnoopResult)> done,
-                    bool retain_dirty = false);
+    template <typename F>
+    void
+    snoopProbe(Addr addr, bool is_write, F &&done,
+               bool retain_dirty = false)
+    {
+        const Addr blk = blockAlign(addr);
+        if (!dcache) {
+            snoopOnChip(blk, is_write, retain_dirty, false, false,
+                        std::forward<F>(done));
+        } else if (is_write) {
+            ++invInFlight.emplace(blockNumber(blk)).first->count;
+            dcache->invalidate(blk, [this, blk, retain_dirty,
+                                     done = std::forward<F>(done)]
+                               (bool present, bool dirty) mutable {
+                snoopOnChip(blk, true, retain_dirty, present, dirty,
+                            std::move(done));
+            });
+        } else {
+            // §III-A: a snoop must search the DRAM cache; the full
+            // access sits on the requester's critical path.
+            dcache->probe(blk, [this, blk, retain_dirty,
+                                done = std::forward<F>(done)]
+                          (DramCacheProbe res) mutable {
+                if (res.present && res.dirty && !retain_dirty) {
+                    // Forwarding a dirty block cleans it (memory is
+                    // updated by the requester-side protocol).
+                    dcache->updateClean(blk);
+                }
+                snoopOnChip(blk, false, retain_dirty, res.present,
+                            res.present && res.dirty, std::move(done));
+            }, /*always_access=*/true);
+        }
+    }
 
     // ---- structural helpers (used by protocol fills) -------------------
 
@@ -143,17 +247,74 @@ class Socket
     std::uint64_t llcMisses() const { return llcMissCount.value(); }
 
   private:
+    /** No slot (end of a waiter chain or of the free list). */
+    static constexpr MissSlot NoSlot = ~MissSlot(0);
+
+    /**
+     * One access in flight below the CPU, from load()/store() to its
+     * completion. Every continuation on the way captures only
+     * [this, slot]: the CPU's callback and the request's fields stay
+     * here, so no event nests another callable.
+     */
+    struct Request
+    {
+        Addr blk = 0;
+        Tick start = 0;
+        EventQueue::Callback done;
+        std::uint32_t core = 0;
+        /** Next merged GetS waiter, or the free-list link. */
+        MissSlot next = NoSlot;
+        bool write = false;
+        bool privatePage = false;
+    };
+
+    /** Claim a request slot, stamped with the current tick. */
+    MissSlot takeSlot(std::uint32_t core, Addr blk, bool write,
+                      bool private_page, EventQueue::Callback done);
+
+    /** Sample the slot's latency, free it and run its callback. */
+    void complete(MissSlot slot);
+
     /** Common read path after the L1 misses. */
-    void accessLlcForRead(std::uint32_t core, Addr addr,
-                          std::function<void()> done);
+    void accessLlcForRead(MissSlot slot);
 
     /** Issue a GetS, merging with an outstanding one if present. */
-    void issueGetS(std::uint32_t core, Addr addr,
-                   std::function<void()> done);
+    void issueGetS(MissSlot slot);
 
     /** Issue a GetX/Upgrade (writes are not merged). */
-    void issueGetX(std::uint32_t core, Addr addr, bool upgrade,
-                   bool private_page, std::function<void()> done);
+    void issueGetX(MissSlot slot, bool upgrade);
+
+    /** GetS data arrived: fill, then complete the merged loads. */
+    void readGranted(MissSlot slot);
+
+    /** GetX permission arrived: fill Modified and complete. */
+    void writeGranted(MissSlot slot);
+
+    /** Close an invalidation probe's insert-squash window. */
+    void endInvalidation(Addr blk);
+
+    /** probeDowngrade's on-chip step. @return a Modified copy was
+     * downgraded (the caller forwards dirty data). */
+    bool downgradeOnChip(Addr blk);
+
+    /** snoopProbe's on-chip step, after the DRAM-cache access. */
+    template <typename F>
+    void
+    snoopOnChip(Addr blk, bool is_write, bool retain_dirty,
+                bool dc_present, bool dc_dirty, F &&done)
+    {
+        eventq.schedule(cfg.localDirLatency,
+                        [this, blk, is_write, retain_dirty, dc_present,
+                         dc_dirty,
+                         done = std::forward<F>(done)]() mutable {
+            done(snoopResolve(blk, is_write, retain_dirty, dc_present,
+                              dc_dirty));
+        });
+    }
+
+    /** The LLC lookup and state change of a snoop probe. */
+    SnoopResult snoopResolve(Addr blk, bool is_write, bool retain_dirty,
+                             bool dc_present, bool dc_dirty);
 
     /** Install @p addr into @p core's L1 with @p state. */
     void fillL1(std::uint32_t core, Addr addr, CacheState state);
@@ -188,12 +349,6 @@ class Socket
                                        : DramCache::NoTenant;
     }
 
-    /** Sample socket + tenant load latency (done-callback helper). */
-    void sampleLoadLatency(std::uint32_t core, Tick start);
-
-    /** Sample socket + tenant store latency. */
-    void sampleStoreLatency(std::uint32_t core, Tick start);
-
     EventQueue &eventq;
     const SystemConfig &cfg;
     const SocketId socketId;
@@ -204,24 +359,34 @@ class Socket
     std::unique_ptr<DramCache> dcache;
     MemoryController mem;
 
-    /** One outstanding GetS with merged waiters. A concurrent
-     * remote invalidation poisons the entry: the loads still
-     * complete (they are ordered before the invalidating write) but
-     * the fill is squashed, as an MSHR transient state would do. */
+    /** In-flight accesses, indexed by MissSlot; grows to the
+     * high-water mark of concurrent accesses. */
+    std::vector<Request> requests;
+    MissSlot freeSlots = NoSlot;
+
+    /** One outstanding GetS. Its primary request's slot heads the
+     * chain of merged waiters (Request::next); @c tail is the last.
+     * A concurrent remote invalidation poisons the entry: the loads
+     * still complete (they are ordered before the invalidating write)
+     * but the fill is squashed, as an MSHR transient state would do. */
     struct PendingRead
     {
-        std::vector<std::function<void()>> waiters;
+        MissSlot tail = NoSlot;
         bool poisoned = false;
     };
 
-    /** Read-miss merge table: block -> outstanding GetS. */
-    std::unordered_map<Addr, PendingRead> pendingReads;
+    /** Read-miss merge table: block number -> outstanding GetS. */
+    BlockMap<PendingRead> pendingReads;
 
     /** Blocks with an invalidation probe mid-flight at this socket.
      * The DRAM-cache controller squashes victim inserts for them
      * (the insert would otherwise revive a dying block between the
      * DRAM-cache and LLC invalidation sub-steps). */
-    std::unordered_map<Addr, std::uint32_t> invInFlight;
+    struct InFlight
+    {
+        std::uint32_t count = 0;
+    };
+    BlockMap<InFlight> invInFlight;
 
     Counter loads;
     Counter stores;

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "coherence/blocking.hh"
 #include "coherence/directory.hh"
+#include "common/rng.hh"
 #include "common/sim_error.hh"
 
 namespace c3d
@@ -183,6 +187,195 @@ TEST(BlockingTable, SameBlockDifferentOffsets)
     EXPECT_FALSE(second);
     bt.release(0x1000);
     EXPECT_TRUE(second);
+}
+
+/**
+ * BlockingTable against a reference model: a std::map from block
+ * number to the FIFO of waiting transaction ids (present = locked).
+ * Every transaction id maps to a fixed behaviour when it starts:
+ * plain, acquire a second block from inside its start (as a directory
+ * recall does), or release its own block at once (a moot recall).
+ */
+class LockModel
+{
+  public:
+    LockModel() { table.init(&stats, "bt"); }
+
+    void
+    acquire(Addr blk, int id)
+    {
+        // Real table first: its start may recurse into acquire().
+        std::deque<int> *waiting = nullptr;
+        if (auto it = ref.find(blk); it != ref.end())
+            waiting = &it->second;
+        if (waiting) {
+            waiting->push_back(id);
+            ++refConflicts;
+        } else {
+            ref.emplace(blk, std::deque<int>{});
+        }
+        table.acquire(blk << BlockShift, [this, blk, id] {
+            started.push_back(id);
+            onStart(blk, id);
+        });
+        if (!waiting)
+            refStart(blk, id);
+    }
+
+    void
+    release(Addr blk)
+    {
+        auto it = ref.find(blk);
+        ASSERT_NE(it, ref.end());
+        int next = -1;
+        if (it->second.empty()) {
+            ref.erase(it);
+        } else {
+            next = it->second.front();
+            it->second.pop_front();
+        }
+        table.release(blk << BlockShift);
+        if (next >= 0)
+            refStart(blk, next);
+    }
+
+    /** Locked block numbers, ascending. */
+    std::vector<Addr>
+    locked() const
+    {
+        std::vector<Addr> v;
+        for (const auto &[blk, q] : ref)
+            v.push_back(blk);
+        return v;
+    }
+
+    void
+    check(const std::vector<Addr> &probe) const
+    {
+        ASSERT_EQ(started, expected);
+        ASSERT_EQ(table.activeBlocks(), ref.size());
+        ASSERT_EQ(table.blockedCount(), refConflicts);
+        for (Addr blk : probe) {
+            ASSERT_EQ(table.isBusy(blk << BlockShift),
+                      ref.count(blk) != 0)
+                << "block " << blk;
+        }
+    }
+
+  private:
+    static bool nests(int id) { return id % 5 == 1; }
+    static bool releasesAtOnce(int id) { return id % 13 == 7; }
+    static Addr partner(Addr blk) { return blk ^ 0x40000; }
+    static int childId(int id) { return id + 1000000; }
+
+    /** The real table started @p id: replay its behaviour. */
+    void
+    onStart(Addr blk, int id)
+    {
+        if (nests(id) && id < 1000000)
+            acquireFromStart(partner(blk), childId(id));
+        else if (releasesAtOnce(id))
+            releaseFromStart(blk);
+    }
+
+    /** The model starts @p id (same behaviour, model side only). */
+    void
+    refStart(Addr blk, int id)
+    {
+        expected.push_back(id);
+        if (nests(id) && id < 1000000)
+            refAcquireOnly(partner(blk), childId(id));
+        else if (releasesAtOnce(id))
+            refReleaseOnly(blk);
+    }
+
+    // Inside a real start: only the real table moves; the model
+    // catches up in refStart, which runs the same steps.
+    void
+    acquireFromStart(Addr blk, int id)
+    {
+        table.acquire(blk << BlockShift, [this, blk, id] {
+            started.push_back(id);
+            onStart(blk, id);
+        });
+    }
+
+    void releaseFromStart(Addr blk) { table.release(blk << BlockShift); }
+
+    void
+    refAcquireOnly(Addr blk, int id)
+    {
+        if (auto it = ref.find(blk); it != ref.end()) {
+            it->second.push_back(id);
+            ++refConflicts;
+            return;
+        }
+        ref.emplace(blk, std::deque<int>{});
+        refStart(blk, id);
+    }
+
+    void
+    refReleaseOnly(Addr blk)
+    {
+        auto it = ref.find(blk);
+        if (it->second.empty()) {
+            ref.erase(it);
+            return;
+        }
+        const int next = it->second.front();
+        it->second.pop_front();
+        refStart(blk, next);
+    }
+
+    StatGroup stats{"t"};
+    BlockingTable table;
+    std::map<Addr, std::deque<int>> ref;
+    std::uint64_t refConflicts = 0;
+    std::vector<int> started;
+    std::vector<int> expected;
+};
+
+TEST(BlockingTable, MatchesReferenceModelUnderRandomTraffic)
+{
+    // Block numbers: a dense run (neighbouring hash homes), a strided
+    // set (far apart, same low bits) and their recall partners, so
+    // the table grows while waiters are queued and erases shift
+    // displaced entries back.
+    std::vector<Addr> blocks;
+    for (Addr b = 0; b < 160; ++b)
+        blocks.push_back(b);
+    for (Addr b = 1; b <= 160; ++b)
+        blocks.push_back(b << 12);
+    std::vector<Addr> probe = blocks;
+    for (Addr b : blocks)
+        probe.push_back(b ^ 0x40000);
+
+    LockModel model;
+    Rng rng(0xB10C);
+    int next_id = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const std::vector<Addr> held = model.locked();
+        // Bias toward acquiring early (growth under contention) and
+        // toward releasing later (drain through backward shifts).
+        const bool acquire = held.empty() ||
+            rng.below(100) < (step < 10000 ? 65u : 40u);
+        if (acquire) {
+            model.acquire(blocks[rng.below(blocks.size())], next_id++);
+        } else {
+            model.release(held[rng.below(held.size())]);
+        }
+        if (step % 97 == 0)
+            model.check(probe);
+        if (HasFatalFailure())
+            return;
+    }
+    for (std::vector<Addr> held = model.locked(); !held.empty();
+         held = model.locked()) {
+        model.release(held.front());
+        if (HasFatalFailure())
+            return;
+    }
+    model.check(probe);
 }
 
 TEST(BlockingTablePanicTest, ReleaseWithoutAcquireThrows)

@@ -268,23 +268,46 @@ TEST(EventQueue, MatchesReferenceModelOnRandomSchedule)
 
 TEST(EventQueue, SimulatorSizedCapturesStayInline)
 {
-    // The largest capture any simulator scheduler builds: a `this`
-    // pointer, an address, a few scalars and one nested std::function
-    // continuation. It must fit the inline budget -- the hot path
-    // pays no heap allocation.
+    // The largest capture any simulator scheduler builds: a snoopy
+    // protocol's probe continuation (`this`, its join pointer, the
+    // target socket, a flag) inside a socket's snoop step (`this`,
+    // the block, a flag) inside the DRAM cache's completion, which
+    // adds the probe result. Continuations below the CPU capture slot
+    // and pool ids, never another callable, so nothing nests deeper
+    // and the hot path pays no heap allocation.
     EventQueue eq;
-    struct BigCapture
+    struct ProtocolContinuation
+    {
+        void *self;
+        void *join;
+        std::uint32_t target;
+        bool supplier;
+    };
+    struct SocketStep
     {
         void *self;
         Addr blk;
-        bool a, b, c;
-        std::function<void()> done;
+        bool retain;
+        ProtocolContinuation done;
     };
-    static_assert(sizeof(BigCapture) <= InlineFunction::InlineBytes,
+    struct ProbeResult
+    {
+        bool present, dirty;
+        Tick readyAt;
+    };
+    struct BigCapture
+    {
+        SocketStep step;
+        ProbeResult res;
+    };
+    static_assert(sizeof(BigCapture) <= InlineFunction<>::InlineBytes,
                   "simulator capture outgrew the inline budget");
     int fired = 0;
-    BigCapture cap{&eq, 0x1234, true, false, true, [&] { ++fired; }};
-    eq.schedule(1, [cap = std::move(cap)] { cap.done(); });
+    BigCapture cap{{&eq, 0x1234, true, {&fired, nullptr, 2, true}},
+                   {true, false, 7}};
+    eq.schedule(1, [cap] {
+        ++*static_cast<int *>(cap.step.done.self);
+    });
     EXPECT_EQ(eq.heapCallbackEvents(), 0u);
     eq.run();
     EXPECT_EQ(fired, 1);

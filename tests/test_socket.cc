@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/machine.hh"
 #include "test_helpers.hh"
 
@@ -233,6 +235,45 @@ TEST(Socket, ReadMissesMergeIntoOneGetS)
     EXPECT_EQ(m.stats().valueOf("socket0.merged_reads"), 1u);
     EXPECT_EQ(m.socket(0).l1State(0, 0x7000), CacheState::Shared);
     EXPECT_EQ(m.socket(0).l1State(1, 0x7000), CacheState::Shared);
+}
+
+TEST(Socket, InvalidationPoisonsMergedReadFill)
+{
+    // Two cores' loads merge into one GetS; a remote invalidation
+    // lands at the socket before the fill. The loads are ordered
+    // before the invalidating write, so both still complete, in
+    // issue order -- but the fill is squashed: nothing may cache the
+    // dying block afterwards.
+    for (Design d : {Design::Baseline, Design::C3D}) {
+        SCOPED_TRACE(designName(d));
+        Machine m(tinyConfig(d));
+        constexpr Addr Blk = 0x9000;
+        std::vector<int> order;
+        m.socket(0).load(0, Blk, [&] { order.push_back(0); });
+        m.socket(0).load(1, Blk, [&] { order.push_back(1); });
+        while (m.stats().valueOf("socket0.merged_reads") == 0 &&
+               m.eventQueue().step()) {
+        }
+        ASSERT_EQ(m.stats().valueOf("socket0.gets"), 1u);
+        ASSERT_EQ(m.stats().valueOf("socket0.merged_reads"), 1u);
+        ASSERT_TRUE(order.empty()) << "fill arrived before the probe";
+
+        bool probed = false;
+        m.socket(0).probeInvalidate(Blk, [&](bool) { probed = true; });
+        while (!probed && m.eventQueue().step()) {
+        }
+        ASSERT_TRUE(probed);
+        ASSERT_TRUE(order.empty()) << "probe did not beat the fill";
+
+        m.eventQueue().run();
+        EXPECT_EQ(order, (std::vector<int>{0, 1}));
+        EXPECT_EQ(m.socket(0).llcState(Blk), CacheState::Invalid);
+        EXPECT_EQ(m.socket(0).l1State(0, Blk), CacheState::Invalid);
+        EXPECT_EQ(m.socket(0).l1State(1, Blk), CacheState::Invalid);
+        if (const DramCache *dc = m.socket(0).dramCache()) {
+            EXPECT_FALSE(dc->contains(Blk));
+        }
+    }
 }
 
 TEST(Socket, SnoopProbeFindsNothingQuickly)

@@ -305,6 +305,25 @@ TEST(ResultTable, GoldenGridMatchesCommittedArtifacts)
     EXPECT_EQ(table.toJson(), readGolden("pre_pr10_region.json"));
 }
 
+TEST(ResultTable, AllDesignGridMatchesCommittedArtifact)
+{
+    // Every design under every snoopy protocol on 1, 2 and 4
+    // sockets: pins the rows of the engines the golden grid above
+    // leaves out (full-dir, c3d-full-dir, MESIF/MOESI/Dragon) and the
+    // single-socket paths.
+    exp::SweepGrid grid;
+    grid.workloads = {profileByName("facesim"),
+                      profileByName("canneal")};
+    grid.designs = {Design::Baseline, Design::Snoopy, Design::FullDir,
+                    Design::C3D, Design::C3DFullDir};
+    grid.protocols = {Protocol::Mesi, Protocol::Mesif, Protocol::Moesi,
+                      Protocol::Dragon};
+    grid.sockets = {1, 2, 4};
+    grid = exp::quickPreset(std::move(grid));
+    const exp::ResultTable table = exp::SweepEngine(4).run(grid);
+    EXPECT_EQ(table.toCsv(), readGolden("all_designs.csv"));
+}
+
 TEST(ResultTable, CsvRoundTripsQuotedSpecials)
 {
     // Emitters quote fields containing commas, quotes, and

@@ -34,17 +34,23 @@
  *    identical to a clean run's (exit non-zero otherwise).
  *
  * The tool exits non-zero if any scheduled callback fell back to a
- * heap allocation during the end-to-end row: the simulator's capture
- * sizes are part of the perf contract (docs/perf.md).
+ * heap allocation during the end-to-end row, or if that row's run
+ * makes more than 0.1 heap allocations per simulated reference (a
+ * counting global operator new in this binary): the simulator's
+ * capture sizes and its allocation-free coherence path are part of
+ * the perf contract (docs/perf.md).
  *
  * Usage: bench-report [--quick] [--out=PATH|-]; --help lists the flags.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +65,31 @@
 #include "sim/runner.hh"
 #include "sim/watchdog.hh"
 #include "trace/workload.hh"
+
+/**
+ * Heap allocations made by this process (every operator new). The
+ * end_to_end section reports the count across its row's run.
+ */
+static std::atomic<std::uint64_t> g_heapAllocs{0};
+
+/** Guard on end_to_end.heap_allocs_per_ref. */
+static constexpr double MaxHeapAllocsPerRef = 0.1;
+
+static void *
+countedAlloc(std::size_t n)
+{
+    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace
 {
@@ -114,6 +145,8 @@ struct Report
     double rowEventsPerSec = 0;
     double rowIpc = 0;
     std::uint64_t rowHeapCallbackEvents = 0;
+    std::uint64_t rowHeapAllocs = 0;
+    double rowHeapAllocsPerRef = 0;
 
     unsigned parKernelThreads = 0;
     unsigned hostHwThreads = 0;
@@ -237,10 +270,17 @@ benchEndToEnd(Report &rep)
                               spec.cfg.totalCores(),
                               spec.cfg.coresPerSocket);
     c3d::Runner runner(spec.cfg, wl);
+    const std::uint64_t allocs_before = g_heapAllocs.load();
     const auto start = Clock::now();
     const c3d::RunResult res =
         runner.run(spec.warmupOps, spec.measureOps);
     rep.rowWallSeconds = secondsSince(start);
+    rep.rowHeapAllocs = g_heapAllocs.load() - allocs_before;
+    const std::uint64_t refs =
+        wl.activeCores(spec.cfg.totalCores()) *
+        (spec.warmupOps + spec.measureOps);
+    rep.rowHeapAllocsPerRef =
+        static_cast<double>(rep.rowHeapAllocs) / refs;
     rep.rowEvents = runner.machine().totalEventsExecuted();
     rep.rowEventsPerSec = rep.rowEvents / rep.rowWallSeconds;
     rep.rowIpc = res.ipc();
@@ -426,9 +466,13 @@ writeJson(std::FILE *f, const Report &rep)
     std::fprintf(f, "    \"events_per_sec\": %.0f,\n",
                  rep.rowEventsPerSec);
     std::fprintf(f, "    \"ipc\": %.4f,\n", rep.rowIpc);
-    std::fprintf(f, "    \"heap_callback_events\": %llu\n",
+    std::fprintf(f, "    \"heap_callback_events\": %llu,\n",
                  static_cast<unsigned long long>(
                      rep.rowHeapCallbackEvents));
+    std::fprintf(f, "    \"heap_allocs\": %llu,\n",
+                 static_cast<unsigned long long>(rep.rowHeapAllocs));
+    std::fprintf(f, "    \"heap_allocs_per_ref\": %.4f\n",
+                 rep.rowHeapAllocsPerRef);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"parallel_kernel\": {\n");
     std::fprintf(f, "    \"row\": \"%s\",\n", rep.rowName.c_str());
@@ -559,6 +603,14 @@ main(int argc, char **argv)
                      "InlineFunction budget; see docs/perf.md)\n",
                      static_cast<unsigned long long>(
                          rep.rowHeapCallbackEvents));
+        return 1;
+    }
+    if (rep.rowHeapAllocsPerRef > MaxHeapAllocsPerRef) {
+        std::fprintf(stderr,
+                     "bench-report: FAIL: %.4f heap allocations per "
+                     "simulated reference > %.1f (the coherence path "
+                     "must stay allocation-free; see docs/perf.md)\n",
+                     rep.rowHeapAllocsPerRef, MaxHeapAllocsPerRef);
         return 1;
     }
     return 0;
