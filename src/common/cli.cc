@@ -231,19 +231,6 @@ parseMapping(const std::string &s, MappingPolicy &out)
     return false;
 }
 
-bool
-parseProtocol(const std::string &s, Protocol &out)
-{
-    for (Protocol p : {Protocol::Mesi, Protocol::Mesif, Protocol::Moesi,
-                       Protocol::Dragon}) {
-        if (s == protocolName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::vector<std::string>
 splitList(const std::string &s)
 {
@@ -287,12 +274,6 @@ cliTable(CliOptions &opt, RawCli &r)
                 opt.scale, 1)
         .mapped("mapping", "P", "INT|FT1|FT2 (default FT2)",
                 r.raw.mapping, parseMapping, "unknown mapping")
-        .mapped("protocol", "NAME",
-                "mesi|mesif|moesi|dragon snoopy variant (default mesi)",
-                r.raw.protocol, parseProtocol, "unknown protocol")
-        .number("store-buffer",
-                "snoopy store write buffer depth (default 0 = off)",
-                r.raw.storeWriteBufferDepth, 0, 4096)
         .text("workload", "NAME", "paper profile name (default facesim)",
               opt.workload)
         .number("warmup", "references per core before the window",

@@ -226,9 +226,6 @@ bool parseDesign(const std::string &s, Design &out);
 /** Map a mapping-policy name back to the enum. */
 bool parseMapping(const std::string &s, MappingPolicy &out);
 
-/** Map a protocol name (protocolName() spelling) back to the enum. */
-bool parseProtocol(const std::string &s, Protocol &out);
-
 } // namespace c3d
 
 #endif // C3DSIM_COMMON_CLI_HH

@@ -35,20 +35,4 @@ mappingPolicyName(MappingPolicy p)
     return "?";
 }
 
-const char *
-protocolName(Protocol p)
-{
-    switch (p) {
-      case Protocol::Mesi:
-        return "mesi";
-      case Protocol::Mesif:
-        return "mesif";
-      case Protocol::Moesi:
-        return "moesi";
-      case Protocol::Dragon:
-        return "dragon";
-    }
-    return "?";
-}
-
 } // namespace c3d

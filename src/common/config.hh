@@ -39,24 +39,8 @@ enum class MappingPolicy
     FirstTouch2, //!< FT2: first touch within the parallel phase
 };
 
-/**
- * Which snoopy-family coherence protocol variant the socket caches
- * run. The directory designs keep their fixed MSI-style engines; the
- * snoopy design dispatches on this knob through the protocol
- * registry (src/coherence/protocol_factory.cc), so `protocol` is a
- * first-class sweep axis next to `design` (docs/coherence.md).
- */
-enum class Protocol
-{
-    Mesi,   //!< invalidate-based, memory supplies clean data
-    Mesif,  //!< MESI + clean forward state (one sharer supplies)
-    Moesi,  //!< dirty owner supplies and retains (no reflective write)
-    Dragon, //!< update-based: writes update remote copies in place
-};
-
 const char *designName(Design d);
 const char *mappingPolicyName(MappingPolicy p);
-const char *protocolName(Protocol p);
 
 /** Inter-socket interconnect topology. */
 enum class Topology
@@ -74,7 +58,6 @@ struct SystemConfig
 
     Design design = Design::C3D;
     MappingPolicy mapping = MappingPolicy::FirstTouch2;
-    Protocol protocol = Protocol::Mesi;
 
     // ---- per-core L1 (Table II: 64 KB / 8-way, 3 cycles) --------------
     std::uint64_t l1Bytes = 64 * 1024;
@@ -127,15 +110,6 @@ struct SystemConfig
 
     // ---- core (Table II: 1 IPC, 32-entry store queue, TSO) ------------
     std::uint32_t storeQueueEntries = 32;
-
-    /**
-     * Store write buffer in front of each home memory controller
-     * (snoopy family only): writebacks and reflective writes queue
-     * here and drain one per memLatency. 0 disables the buffer --
-     * writes post to the controller immediately, which is the
-     * pre-buffer behavior bit for bit.
-     */
-    std::uint32_t storeWriteBufferDepth = 0;
 
     // ---- C3D options ---------------------------------------------------
     /** §IV-D: elide invalidation broadcasts for private pages. */

@@ -13,6 +13,14 @@ namespace c3d::exp
 namespace
 {
 
+/**
+ * The `protocol` column's one value. The snoopy engine is MESI only,
+ * so no row carries a protocol of its own; the column and its
+ * identity-key segment stay for c3d-sweep/v2 byte identity (and for
+ * the grid fingerprints journals were written under).
+ */
+const std::string FixedProtocol = "mesi";
+
 /** Serialized columns, in order. Keep in sync with docs/sweeps.md. */
 const char *const StringCols[] = {"workload", "variant", "design",
                                   "protocol", "mapping"};
@@ -25,18 +33,34 @@ const char *const IntCols[] = {
     "llc_misses",       "inter_socket_bytes", "broadcasts",
     "broadcasts_elided"};
 
-std::string *
-stringField(ResultRow &r, std::size_t i)
-{
-    std::string *fields[] = {&r.workload, &r.variant, &r.design,
-                             &r.protocol, &r.mapping};
-    return fields[i];
-}
-
-const std::string *
+const std::string &
 stringField(const ResultRow &r, std::size_t i)
 {
-    return stringField(const_cast<ResultRow &>(r), i);
+    const std::string *fields[] = {&r.workload, &r.variant, &r.design,
+                                   &FixedProtocol, &r.mapping};
+    return *fields[i];
+}
+
+/**
+ * Store a parsed string column. The protocol column is checked, not
+ * stored: a row naming another protocol (a journal from an older
+ * build that simulated other snoopy variants) cannot be reproduced.
+ */
+bool
+setStringField(ResultRow &r, std::size_t i, const std::string &v,
+               std::string &error)
+{
+    std::string *fields[] = {&r.workload, &r.variant, &r.design,
+                             nullptr, &r.mapping};
+    if (fields[i]) {
+        *fields[i] = v;
+        return true;
+    }
+    if (v == FixedProtocol)
+        return true;
+    error = "unsupported protocol '" + v + "' (only '" +
+        FixedProtocol + "' is simulated)";
+    return false;
 }
 
 std::uint64_t
@@ -336,7 +360,7 @@ bool
 ResultRow::sameAs(const ResultRow &o) const
 {
     for (std::size_t i = 0; i < NumStringCols; ++i) {
-        if (*stringField(*this, i) != *stringField(o, i))
+        if (stringField(*this, i) != stringField(o, i))
             return false;
     }
     for (std::size_t i = 0; i < NumIntCols; ++i) {
@@ -348,8 +372,8 @@ ResultRow::sameAs(const ResultRow &o) const
 
 std::string
 identityKeyOf(const std::string &workload, const std::string &variant,
-              const std::string &design, const std::string &protocol,
-              const std::string &mapping, std::uint32_t sockets,
+              const std::string &design, const std::string &mapping,
+              std::uint32_t sockets,
               std::uint32_t cores_per_socket, std::uint32_t scale,
               std::uint64_t dram_cache_mb, std::uint64_t warmup_ops,
               std::uint64_t measure_ops, std::uint64_t seed)
@@ -360,16 +384,16 @@ identityKeyOf(const std::string &workload, const std::string &variant,
                   "|%" PRIu64 "|%" PRIu64 "|%" PRIu64,
                   sockets, cores_per_socket, scale, dram_cache_mb,
                   warmup_ops, measure_ops, seed);
-    return workload + '|' + variant + '|' + design + '|' + protocol +
-        '|' + mapping + nums;
+    return workload + '|' + variant + '|' + design + '|' +
+        FixedProtocol + '|' + mapping + nums;
 }
 
 std::string
 ResultRow::identityKey() const
 {
-    return identityKeyOf(workload, variant, design, protocol, mapping,
-                         sockets, coresPerSocket, scale, dramCacheMb,
-                         warmupOps, measureOps, seed);
+    return identityKeyOf(workload, variant, design, mapping, sockets,
+                         coresPerSocket, scale, dramCacheMb, warmupOps,
+                         measureOps, seed);
 }
 
 void
@@ -382,8 +406,7 @@ ResultTable::append(const ResultTable &other)
 const ResultRow *
 ResultTable::find(std::size_t workload_idx, std::size_t variant_idx,
                   std::size_t design_idx, std::size_t socket_idx,
-                  std::size_t dram_idx, std::size_t mapping_idx,
-                  std::size_t protocol_idx) const
+                  std::size_t dram_idx, std::size_t mapping_idx) const
 {
     for (const ResultRow &r : tableRows) {
         if (workload_idx != SIZE_MAX && r.workloadIdx != workload_idx)
@@ -397,8 +420,6 @@ ResultTable::find(std::size_t workload_idx, std::size_t variant_idx,
         if (dram_idx != SIZE_MAX && r.dramIdx != dram_idx)
             continue;
         if (mapping_idx != SIZE_MAX && r.mappingIdx != mapping_idx)
-            continue;
-        if (protocol_idx != SIZE_MAX && r.protocolIdx != protocol_idx)
             continue;
         return &r;
     }
@@ -431,7 +452,7 @@ ResultTable::rowToJson(const ResultRow &r)
         out += c ? ", \"" : "\"";
         out += StringCols[c];
         out += "\": \"";
-        out += jsonEscape(*stringField(r, c));
+        out += jsonEscape(stringField(r, c));
         out += "\"";
     }
     for (std::size_t c = 0; c < NumIntCols; ++c) {
@@ -466,7 +487,8 @@ ResultTable::rowFromJson(const JsonValue &rv, ResultRow &out,
                 StringCols[c] + "'";
             return false;
         }
-        *stringField(row, c) = v->string();
+        if (!setStringField(row, c, v->string(), error))
+            return false;
     }
     for (std::size_t c = 0; c < NumIntCols; ++c) {
         const JsonValue *v = rv.member(IntCols[c]);
@@ -526,7 +548,7 @@ ResultTable::toCsv() const
         for (std::size_t c = 0; c < NumStringCols; ++c) {
             if (c)
                 out += ',';
-            out += csvField(*stringField(r, c));
+            out += csvField(stringField(r, c));
         }
         for (std::size_t c = 0; c < NumIntCols; ++c) {
             char buf[32];
@@ -632,8 +654,12 @@ ResultTable::fromCsv(const std::string &text, ResultTable &out,
             return false;
         }
         ResultRow row;
-        for (std::size_t c = 0; c < NumStringCols; ++c)
-            *stringField(row, c) = fields[c];
+        for (std::size_t c = 0; c < NumStringCols; ++c) {
+            if (!setStringField(row, c, fields[c], error)) {
+                error += " in csv row " + std::to_string(l);
+                return false;
+            }
+        }
         for (std::size_t c = 0; c < NumIntCols; ++c) {
             const std::string &field = fields[NumStringCols + c];
             // strtoull alone accepts "" (returns 0) and "-5" (wraps);

@@ -27,7 +27,8 @@ class JsonValue;
 
 /**
  * Canonical grid-point identity: the serialized identity columns
- * joined with '|', in schema order. The single implementation
+ * joined with '|', in schema order (the `protocol` segment is the
+ * column's fixed value). The single implementation
  * behind ResultRow::identityKey() and specIdentityKey() -- the two
  * must stay byte-identical or resume/merge would refuse (or fail to
  * refuse) valid journals.
@@ -35,7 +36,6 @@ class JsonValue;
 std::string identityKeyOf(const std::string &workload,
                           const std::string &variant,
                           const std::string &design,
-                          const std::string &protocol,
                           const std::string &mapping,
                           std::uint32_t sockets,
                           std::uint32_t cores_per_socket,
@@ -52,7 +52,6 @@ struct ResultRow
     std::string workload;
     std::string variant; //!< empty when the grid had no variants
     std::string design;
-    std::string protocol; //!< snoopy-family protocol variant
     std::string mapping;
     std::uint32_t sockets = 0;
     std::uint32_t coresPerSocket = 0;
@@ -66,7 +65,6 @@ struct ResultRow
     std::size_t workloadIdx = 0;
     std::size_t variantIdx = 0;
     std::size_t designIdx = 0;
-    std::size_t protocolIdx = 0;
     std::size_t socketIdx = 0;
     std::size_t dramIdx = 0;
     std::size_t mappingIdx = 0;
@@ -111,8 +109,7 @@ class ResultTable
                           std::size_t design_idx = SIZE_MAX,
                           std::size_t socket_idx = SIZE_MAX,
                           std::size_t dram_idx = SIZE_MAX,
-                          std::size_t mapping_idx = SIZE_MAX,
-                          std::size_t protocol_idx = SIZE_MAX) const;
+                          std::size_t mapping_idx = SIZE_MAX) const;
 
     /** Row-by-row sameAs comparison. */
     bool sameRows(const ResultTable &other) const;

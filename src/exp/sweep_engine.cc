@@ -50,7 +50,6 @@ SweepEngine::makeRow(const RunSpec &spec, const RunResult &metrics)
     row.workload = spec.profile.name;
     row.variant = spec.variantName;
     row.design = designName(spec.cfg.design);
-    row.protocol = protocolName(spec.cfg.protocol);
     row.mapping = mappingPolicyName(spec.cfg.mapping);
     row.sockets = spec.cfg.numSockets;
     row.coresPerSocket = spec.cfg.coresPerSocket;
@@ -62,7 +61,6 @@ SweepEngine::makeRow(const RunSpec &spec, const RunResult &metrics)
     row.workloadIdx = spec.workloadIdx;
     row.variantIdx = spec.variantIdx;
     row.designIdx = spec.designIdx;
-    row.protocolIdx = spec.protocolIdx;
     row.socketIdx = spec.socketIdx;
     row.dramIdx = spec.dramIdx;
     row.mappingIdx = spec.mappingIdx;
@@ -99,7 +97,6 @@ SweepEngine::run(const SweepGrid &grid, const RunFn &fn) const
             rows[i].workloadIdx = specs[i].workloadIdx;
             rows[i].variantIdx = specs[i].variantIdx;
             rows[i].designIdx = specs[i].designIdx;
-            rows[i].protocolIdx = specs[i].protocolIdx;
             rows[i].socketIdx = specs[i].socketIdx;
             rows[i].dramIdx = specs[i].dramIdx;
             rows[i].mappingIdx = specs[i].mappingIdx;

@@ -14,7 +14,6 @@ specIdentityKey(const RunSpec &spec)
 {
     return identityKeyOf(spec.profile.name, spec.variantName,
                          designName(spec.cfg.design),
-                         protocolName(spec.cfg.protocol),
                          mappingPolicyName(spec.cfg.mapping),
                          spec.cfg.numSockets,
                          spec.cfg.coresPerSocket, spec.scale,
@@ -90,8 +89,7 @@ SweepGrid::size() const
     const std::size_t variant_count =
         variants.empty() ? 1 : variants.size();
     return workloads.size() * variant_count * designs.size() *
-        protocols.size() * sockets.size() * dramCacheMb.size() *
-        mappings.size();
+        sockets.size() * dramCacheMb.size() * mappings.size();
 }
 
 std::vector<RunSpec>
@@ -110,7 +108,6 @@ SweepGrid::expand() const
             profile.seed = seed;
         for (std::size_t v = 0; v < vars.size(); ++v) {
             for (std::size_t d = 0; d < designs.size(); ++d) {
-              for (std::size_t pr = 0; pr < protocols.size(); ++pr) {
                 for (std::size_t s = 0; s < sockets.size(); ++s) {
                     for (std::size_t m = 0; m < dramCacheMb.size();
                          ++m) {
@@ -121,7 +118,6 @@ SweepGrid::expand() const
                             spec.workloadIdx = w;
                             spec.variantIdx = v;
                             spec.designIdx = d;
-                            spec.protocolIdx = pr;
                             spec.socketIdx = s;
                             spec.dramIdx = m;
                             spec.mappingIdx = p;
@@ -139,7 +135,6 @@ SweepGrid::expand() const
                                 ? coresPerSocket
                                 : paperCoresPerSocket(sockets[s]);
                             raw.design = designs[d];
-                            raw.protocol = protocols[pr];
                             raw.mapping = mappings[p];
                             if (dramCacheMb[m])
                                 raw.dramCacheBytes =
@@ -151,7 +146,6 @@ SweepGrid::expand() const
                         }
                     }
                 }
-              }
             }
         }
     }

@@ -4,8 +4,7 @@
  *
  * A SweepGrid names the axes a study varies -- workload profile,
  * config variant (arbitrary SystemConfig patch), coherence design,
- * snoopy protocol variant, socket count, DRAM-cache capacity,
- * page-mapping policy -- plus the
+ * socket count, DRAM-cache capacity, page-mapping policy -- plus the
  * shared run parameters (scale, warm-up/measure quotas, seed).
  * expand() flattens the grid into an ordered list of self-contained
  * RunSpecs; the expansion order is a deterministic nested loop
@@ -49,7 +48,6 @@ struct RunSpec
     std::size_t workloadIdx = 0;
     std::size_t variantIdx = 0;
     std::size_t designIdx = 0;
-    std::size_t protocolIdx = 0;
     std::size_t socketIdx = 0;
     std::size_t dramIdx = 0;
     std::size_t mappingIdx = 0;
@@ -70,11 +68,6 @@ struct SweepGrid
     std::vector<WorkloadProfile> workloads; //!< unscaled profiles
     std::vector<ConfigVariant> variants;    //!< empty = one identity
     std::vector<Design> designs = {Design::C3D};
-    /** Snoopy-family coherence protocol variants. Directory designs
-     * keep their fixed engines regardless; every grid point still
-     * names its protocol in the row identity, so a grid whose
-     * protocol set changed refuses to resume/merge. */
-    std::vector<Protocol> protocols = {Protocol::Mesi};
     std::vector<std::uint32_t> sockets = {4};
     /** Unscaled DRAM-cache capacities in MB; 0 keeps the Table II
      * default (1 GB). */

@@ -456,8 +456,8 @@ Socket::downgradeOnChip(Addr blk)
 }
 
 SnoopResult
-Socket::snoopResolve(Addr blk, bool is_write, bool retain_dirty,
-                     bool dc_present, bool dc_dirty)
+Socket::snoopResolve(Addr blk, bool is_write, bool dc_present,
+                     bool dc_dirty)
 {
     SnoopResult res;
     res.present = dc_present;
@@ -472,16 +472,6 @@ Socket::snoopResolve(Addr blk, bool is_write, bool retain_dirty,
         } else if (e->state == CacheState::Modified) {
             e->state = CacheState::Shared;
             downgradeL1Sharers(blk, e->aux);
-            if (retain_dirty && dcache) {
-                // MOESI owned state: the supplier forwards the data
-                // but stays responsible for the dirty block. The LLC
-                // downgrades (so local stores re-arbitrate), and the
-                // dirtiness parks in the DRAM cache until evicted.
-                DramCacheVictim dv = dcache->insert(blk, true);
-                if (dv.valid)
-                    protocol->dramCacheEvicted(socketId, dv.addr,
-                                               dv.dirty);
-            }
         }
     }
     // Close the insert-squash window snoopProbe opened only after

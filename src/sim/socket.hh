@@ -185,40 +185,34 @@ class Socket
      * Snoopy-protocol probe: search DRAM cache and LLC; a dirty copy
      * is supplied to the requester and transitions to clean/Shared
      * here. @p is_write additionally invalidates any found copy.
-     * With @p retain_dirty (MOESI owned state, Dragon), a read probe
-     * that finds dirty data supplies it but keeps the dirty copy
-     * (parked in the DRAM cache) instead of cleaning itself.
      * @p done receives a SnoopResult.
      */
     template <typename F>
     void
-    snoopProbe(Addr addr, bool is_write, F &&done,
-               bool retain_dirty = false)
+    snoopProbe(Addr addr, bool is_write, F &&done)
     {
         const Addr blk = blockAlign(addr);
         if (!dcache) {
-            snoopOnChip(blk, is_write, retain_dirty, false, false,
-                        std::forward<F>(done));
+            snoopOnChip(blk, is_write, false, false, std::forward<F>(done));
         } else if (is_write) {
             ++invInFlight.emplace(blockNumber(blk)).first->count;
-            dcache->invalidate(blk, [this, blk, retain_dirty,
+            dcache->invalidate(blk, [this, blk,
                                      done = std::forward<F>(done)]
                                (bool present, bool dirty) mutable {
-                snoopOnChip(blk, true, retain_dirty, present, dirty,
-                            std::move(done));
+                snoopOnChip(blk, true, present, dirty, std::move(done));
             });
         } else {
             // §III-A: a snoop must search the DRAM cache; the full
             // access sits on the requester's critical path.
-            dcache->probe(blk, [this, blk, retain_dirty,
+            dcache->probe(blk, [this, blk,
                                 done = std::forward<F>(done)]
                           (DramCacheProbe res) mutable {
-                if (res.present && res.dirty && !retain_dirty) {
+                if (res.present && res.dirty) {
                     // Forwarding a dirty block cleans it (memory is
                     // updated by the requester-side protocol).
                     dcache->updateClean(blk);
                 }
-                snoopOnChip(blk, false, retain_dirty, res.present,
+                snoopOnChip(blk, false, res.present,
                             res.present && res.dirty, std::move(done));
             }, /*always_access=*/true);
         }
@@ -300,21 +294,19 @@ class Socket
     /** snoopProbe's on-chip step, after the DRAM-cache access. */
     template <typename F>
     void
-    snoopOnChip(Addr blk, bool is_write, bool retain_dirty,
-                bool dc_present, bool dc_dirty, F &&done)
+    snoopOnChip(Addr blk, bool is_write, bool dc_present,
+                bool dc_dirty, F &&done)
     {
         eventq.schedule(cfg.localDirLatency,
-                        [this, blk, is_write, retain_dirty, dc_present,
-                         dc_dirty,
+                        [this, blk, is_write, dc_present, dc_dirty,
                          done = std::forward<F>(done)]() mutable {
-            done(snoopResolve(blk, is_write, retain_dirty, dc_present,
-                              dc_dirty));
+            done(snoopResolve(blk, is_write, dc_present, dc_dirty));
         });
     }
 
     /** The LLC lookup and state change of a snoop probe. */
-    SnoopResult snoopResolve(Addr blk, bool is_write, bool retain_dirty,
-                             bool dc_present, bool dc_dirty);
+    SnoopResult snoopResolve(Addr blk, bool is_write, bool dc_present,
+                             bool dc_dirty);
 
     /** Install @p addr into @p core's L1 with @p state. */
     void fillL1(std::uint32_t core, Addr addr, CacheState state);

@@ -5,13 +5,13 @@
  * A miss travels from Socket::load/store through the L1, LLC and DRAM
  * cache, the interconnect, the home's block lock and directory (or
  * snoop broadcast) and back. Once the simulated state has been
- * touched -- pages placed, directory entries and snoopy home lines
- * created, request slots, lock waiters and join pools grown to their
- * high-water marks -- that path must make no heap allocation at all.
+ * touched -- pages placed, directory entries created, request
+ * slots, lock waiters and join pools grown to their high-water
+ * marks -- that path must make no heap allocation at all.
  * This binary replaces the global operator new with a counting one,
  * warms a 4-socket machine up with a few passes of random loads and
  * stores, and then requires one more identical-shaped pass to
- * allocate nothing, for every design and every snoopy protocol.
+ * allocate nothing, for every design.
  */
 
 #include <gtest/gtest.h>
@@ -189,11 +189,10 @@ steadyStateAllocs(const SystemConfig &cfg, int warmup)
 }
 
 SystemConfig
-machineFor(Design design, Protocol protocol)
+machineFor(Design design)
 {
     SystemConfig cfg = test::tinyConfig(design, 4, 2);
     cfg.mapping = MappingPolicy::Interleave;
-    cfg.protocol = protocol;
     return cfg;
 }
 
@@ -205,39 +204,22 @@ TEST(AllocFree, CountingHookSeesAllocations)
     EXPECT_GE(g_allocs.load() - before, 2u);
 }
 
-class AllocFreeDesigns
-    : public ::testing::TestWithParam<std::tuple<Design, Protocol>>
+class AllocFreeDesigns : public ::testing::TestWithParam<Design>
 {
 };
 
 TEST_P(AllocFreeDesigns, SteadyStatePassAllocatesNothing)
 {
     setQuiet(true);
-    const auto [design, protocol] = GetParam();
-    EXPECT_EQ(steadyStateAllocs(machineFor(design, protocol), 16), 0u);
-}
-
-TEST(AllocFree, SnoopyStoreBufferAllocatesNothing)
-{
-    setQuiet(true);
-    SystemConfig cfg = machineFor(Design::Snoopy, Protocol::Mesi);
-    cfg.storeWriteBufferDepth = 4;
-    EXPECT_EQ(steadyStateAllocs(cfg, 16), 0u);
+    EXPECT_EQ(steadyStateAllocs(machineFor(GetParam()), 16), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    EveryDesignAndSnoopyProtocol, AllocFreeDesigns,
-    ::testing::Values(std::make_tuple(Design::Baseline, Protocol::Mesi),
-                      std::make_tuple(Design::FullDir, Protocol::Mesi),
-                      std::make_tuple(Design::C3D, Protocol::Mesi),
-                      std::make_tuple(Design::C3DFullDir, Protocol::Mesi),
-                      std::make_tuple(Design::Snoopy, Protocol::Mesi),
-                      std::make_tuple(Design::Snoopy, Protocol::Mesif),
-                      std::make_tuple(Design::Snoopy, Protocol::Moesi),
-                      std::make_tuple(Design::Snoopy, Protocol::Dragon)),
+    EveryDesign, AllocFreeDesigns,
+    ::testing::Values(Design::Baseline, Design::FullDir, Design::C3D,
+                      Design::C3DFullDir, Design::Snoopy),
     [](const auto &info) {
-        std::string name = designName(std::get<0>(info.param));
-        name += std::string("_") + protocolName(std::get<1>(info.param));
+        std::string name = designName(info.param);
         for (char &c : name) {
             if (c == '-')
                 c = '_';

@@ -104,10 +104,17 @@ TEST(Cli, RejectsUnknownFlag)
     const CliOptions opt = parseCli({"--frobnicate=7"});
     EXPECT_FALSE(opt.ok());
     EXPECT_NE(opt.error.find("frobnicate"), std::string::npos);
-    // The DRAM-cache predictor is not a selectable option.
-    const CliOptions removed = parseCli({"--predictor=region"});
-    EXPECT_FALSE(removed.ok());
-    EXPECT_NE(removed.error.find("predictor"), std::string::npos);
+    // The DRAM-cache predictor, the snoopy protocol variants and the
+    // store write buffer are not selectable options.
+    for (const char *flag : {"--predictor=region", "--protocol=mesi",
+                             "--protocols=mesi", "--store-buffer=4"}) {
+        const CliOptions removed = parseCli({flag});
+        EXPECT_FALSE(removed.ok()) << flag;
+        const std::string name =
+            std::string(flag).substr(0, std::string(flag).find('='));
+        EXPECT_NE(removed.error.find(name), std::string::npos)
+            << removed.error;
+    }
 }
 
 TEST(Cli, RejectsMalformedNumbers)
@@ -141,7 +148,7 @@ TEST(Cli, UsageNamesEveryFlag)
     const std::string usage = cliUsage();
     for (const char *flag :
          {"--design=", "--sockets=", "--cores-per-socket=", "--scale=",
-          "--mapping=", "--protocol=", "--store-buffer=", "--workload=",
+          "--mapping=", "--workload=",
           "--warmup=", "--measure=", "--dram-cache-ns=", "--hop-ns=",
           "--mem-ns=", "--no-dram-cache", "--tlb-classification",
           "--seed=", "--help"}) {
@@ -157,7 +164,7 @@ struct Sample
     std::uint64_t big = 0;
     std::string path;
     Design design = Design::C3D;
-    std::vector<Protocol> protocols;
+    std::vector<Design> designs;
     bool optOn = false;
     unsigned optThreads = 0;
     std::vector<std::string> files;
@@ -174,8 +181,8 @@ struct Sample
         t.section("second")
             .mapped("design", "NAME", "a name", design, parseDesign,
                     "unknown design")
-            .list("protocols", "A,B", "a list", protocols,
-                  parseProtocol, "unknown protocol")
+            .list("designs", "A,B", "a list", designs, parseDesign,
+                  "unknown design")
             .custom("opt", "[=T]", "an optional value",
                     [this](const std::string &value, std::string &) {
                         optOn = true;
@@ -199,7 +206,7 @@ TEST(FlagTable, HelpNamesEveryFlagUnderItsSection)
     for (const char *needle :
          {"sample: one flag of each kind", "first:", "second:",
           "--switch ", "--count=N", "--big=N", "--path=FILE",
-          "--design=NAME", "--protocols=A,B", "--opt[=T]", "FILE...",
+          "--design=NAME", "--designs=A,B", "--opt[=T]", "FILE...",
           "--help"}) {
         EXPECT_NE(help.find(needle), std::string::npos) << needle;
     }
@@ -214,15 +221,15 @@ TEST(FlagTable, StoresEveryKind)
     FlagTable t = s.table();
     ASSERT_TRUE(t.parse({"--switch", "--count=8", "--big=0x10",
                          "--path=a b", "--design=baseline",
-                         "--protocols=mesi,dragon"}))
+                         "--designs=snoopy,c3d"}))
         << t.error();
     EXPECT_TRUE(s.sw);
     EXPECT_EQ(s.count, 8u);
     EXPECT_EQ(s.big, 16u);
     EXPECT_EQ(s.path, "a b");
     EXPECT_EQ(s.design, Design::Baseline);
-    EXPECT_EQ(s.protocols,
-              (std::vector<Protocol>{Protocol::Mesi, Protocol::Dragon}));
+    EXPECT_EQ(s.designs,
+              (std::vector<Design>{Design::Snoopy, Design::C3D}));
     EXPECT_FALSE(t.helpRequested());
 }
 

@@ -1,24 +1,11 @@
 /**
  * @file
- * Tests for the explicit-state protocol checker (§IV-C verification)
- * and the randomized differential harness over the snoopy-family
- * variant state machines (docs/coherence.md): MESI, MESIF, MOESI and
- * Dragon run the same seeded random traces through an abstract
- * versioned-memory model driven by the production SnoopVariant
- * tables, checking data freshness, single-dirty, update consistency
- * and final-memory-image agreement across all variants.
+ * Tests for the explicit-state protocol checker (§IV-C verification).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <memory>
-#include <random>
-#include <string>
-#include <vector>
-
 #include "check/model_checker.hh"
-#include "coherence/snoopy_variants.hh"
 
 namespace c3d
 {
@@ -104,289 +91,6 @@ TEST(ModelChecker, DeeperWriteBoundExploresMore)
     EXPECT_TRUE(a.ok);
     EXPECT_TRUE(b.ok);
     EXPECT_GT(b.statesExplored, a.statesExplored);
-}
-
-// ---- randomized snoopy-variant differential harness -----------------
-//
-// An abstract machine with versioned data: every write to a line
-// bumps its version, so "the requester received current data" is the
-// check `supplied version == write count`. The model mirrors the
-// generic broadcast engine's semantics (snoopy_protocol.cc) -- probe
-// supply rules, supplier fallback, reflective writes, updates --
-// while all protocol-specific decisions come from the production
-// SnoopVariant plan/complete/evicted tables. Clean copies drop
-// silently (never telling the home), exactly the staleness the real
-// engine must tolerate.
-
-struct AbstractCopy
-{
-    bool present = false;
-    bool dirty = false;
-    std::uint64_t version = 0;
-};
-
-struct AbstractLine
-{
-    std::uint64_t mem = 0;    //!< version memory holds
-    std::uint64_t writes = 0; //!< latest version in existence
-    HomeLineState home;
-    std::vector<AbstractCopy> copy;
-};
-
-class AbstractSnoopMachine
-{
-  public:
-    AbstractSnoopMachine(Protocol p, int sockets, int lines)
-        : variant(makeSnoopVariant(p)), proto(p)
-    {
-        line.resize(static_cast<std::size_t>(lines));
-        for (AbstractLine &l : line)
-            l.copy.resize(static_cast<std::size_t>(sockets));
-    }
-
-    const std::string &firstViolation() const { return violation; }
-
-    std::uint64_t memImage(int li) const
-    {
-        return line[static_cast<std::size_t>(li)].mem;
-    }
-
-    void
-    access(int s, int li, bool is_write)
-    {
-        AbstractLine &l = line[static_cast<std::size_t>(li)];
-        AbstractCopy &rc = l.copy[static_cast<std::size_t>(s)];
-
-        if (!is_write && rc.present) {
-            // Local read hit: no transaction; the copy must be
-            // current (a stale survivor means a broken plan).
-            expect(rc.version == l.writes, li,
-                   "read hit on stale copy");
-            return;
-        }
-        if (is_write && rc.dirty && soleCopy(l, s)) {
-            // Exclusive write hit: silent local version bump.
-            rc.version = ++l.writes;
-            audit(l, li);
-            return;
-        }
-        transact(l, li, s, is_write);
-        audit(l, li);
-    }
-
-    /** Random eviction; dirty copies write back and notify home. */
-    void
-    evict(int s, int li)
-    {
-        AbstractLine &l = line[static_cast<std::size_t>(li)];
-        AbstractCopy &c = l.copy[static_cast<std::size_t>(s)];
-        if (!c.present)
-            return;
-        if (c.dirty) {
-            l.mem = c.version;
-            variant->evicted(l.home, static_cast<SocketId>(s));
-        }
-        // Clean copies die silently: the home keeps believing.
-        c = AbstractCopy{};
-    }
-
-    /** Write every dirty copy back; the surviving memory image. */
-    void
-    flush()
-    {
-        for (std::size_t li = 0; li < line.size(); ++li) {
-            for (std::size_t s = 0; s < line[li].copy.size(); ++s) {
-                if (line[li].copy[s].dirty)
-                    evict(static_cast<int>(s), static_cast<int>(li));
-            }
-            expect(line[li].mem == line[li].writes,
-                   static_cast<int>(li),
-                   "flushed memory image lost a write");
-        }
-    }
-
-  private:
-    bool
-    soleCopy(const AbstractLine &l, int s) const
-    {
-        for (std::size_t t = 0; t < l.copy.size(); ++t) {
-            if (static_cast<int>(t) != s && l.copy[t].present)
-                return false;
-        }
-        return true;
-    }
-
-    void
-    transact(AbstractLine &l, int li, int s, bool is_write)
-    {
-        AbstractCopy &rc = l.copy[static_cast<std::size_t>(s)];
-        const bool has_shared = rc.present && !rc.dirty;
-        const SnoopPlan plan = variant->plan(
-            l.home, static_cast<SocketId>(s), is_write, has_shared);
-
-        // Probe phase: dirty holders always supply; the planned
-        // supplier forwards clean or triggers the fallback memory
-        // read; invalidating plans strip every other copy.
-        bool have_data = rc.present; // upgrades carry their own data
-        std::uint64_t data = rc.present ? rc.version : 0;
-        for (std::size_t t = 0; t < l.copy.size(); ++t) {
-            if (static_cast<int>(t) == s)
-                continue;
-            AbstractCopy &c = l.copy[t];
-            const bool planned_supplier =
-                plan.supplier == static_cast<std::int32_t>(t);
-            if (c.present && c.dirty) {
-                have_data = true;
-                data = std::max(data, c.version);
-                if (plan.reflectiveWrite)
-                    l.mem = c.version;
-                if (plan.invalidateOthers)
-                    c = AbstractCopy{};
-                else if (!plan.supplierRetainsDirty)
-                    c.dirty = false;
-            } else if (c.present) {
-                if (planned_supplier) {
-                    have_data = true;
-                    data = std::max(data, c.version);
-                }
-                if (plan.invalidateOthers)
-                    c = AbstractCopy{};
-            } else if (planned_supplier) {
-                // Stale home state: deterministic fallback read.
-                have_data = true;
-                data = std::max(data, l.mem);
-            }
-        }
-        if (plan.withMemoryRead && !have_data) {
-            have_data = true;
-            data = l.mem;
-        }
-
-        expect(have_data, li, "transaction with no data source");
-        expect(data == l.writes, li, "stale data supplied");
-
-        // Update phase (Dragon): every believed copy still held gets
-        // the new version in place.
-        const std::uint64_t new_version =
-            is_write ? l.writes + 1 : data;
-        if (is_write && plan.updateCopies) {
-            for (std::size_t t = 0; t < l.copy.size(); ++t) {
-                if (static_cast<int>(t) == s || !l.copy[t].present)
-                    continue;
-                expect(l.home.holds(static_cast<SocketId>(t)), li,
-                       "live copy unknown to home missed an update");
-                l.copy[t].version = new_version;
-                l.copy[t].dirty = false;
-            }
-        }
-
-        rc.present = true;
-        rc.dirty = is_write;
-        rc.version = new_version;
-        if (is_write)
-            l.writes = new_version;
-
-        variant->complete(l.home, static_cast<SocketId>(s),
-                          is_write);
-    }
-
-    void
-    audit(const AbstractLine &l, int li)
-    {
-        int dirty = 0;
-        int holders = 0;
-        for (const AbstractCopy &c : l.copy) {
-            if (!c.present)
-                continue;
-            ++holders;
-            dirty += c.dirty;
-            // Freshness: invalidation or update must have reached
-            // every surviving copy.
-            expect(c.version == l.writes, li, "stale copy survived");
-        }
-        expect(dirty <= 1, li, "two dirty copies");
-        // SWMR structure: invalidating protocols leave a dirty copy
-        // alone; MOESI's owned state and Dragon's update sharing
-        // legitimately pair a dirty owner with clean sharers.
-        if (dirty == 1 && proto != Protocol::Moesi &&
-            proto != Protocol::Dragon)
-            expect(holders == 1, li, "dirty copy with sharers");
-    }
-
-    void
-    expect(bool ok, int li, const char *what)
-    {
-        if (ok || !violation.empty())
-            return;
-        violation = std::string(what) + " (line " +
-            std::to_string(li) + ", " + variant->name() + ")";
-    }
-
-    std::unique_ptr<SnoopVariant> variant;
-    Protocol proto;
-    std::vector<AbstractLine> line;
-    std::string violation;
-};
-
-constexpr Protocol AllProtocols[] = {Protocol::Mesi, Protocol::Mesif,
-                                     Protocol::Moesi,
-                                     Protocol::Dragon};
-
-TEST(SnoopVariantDifferential, RandomTracesHoldInvariants)
-{
-    constexpr int Sockets = 4;
-    constexpr int Lines = 3;
-    constexpr int Ops = 4000;
-
-    for (std::uint32_t seed = 1; seed <= 5; ++seed) {
-        // One trace per seed, replayed through every variant.
-        std::vector<std::uint64_t> image[4];
-        for (std::size_t v = 0; v < 4; ++v) {
-            AbstractSnoopMachine m(AllProtocols[v], Sockets, Lines);
-            std::mt19937 rng(seed);
-            for (int i = 0; i < Ops; ++i) {
-                const int s = static_cast<int>(rng() % Sockets);
-                const int li = static_cast<int>(rng() % Lines);
-                const std::uint32_t roll = rng() % 10;
-                if (roll < 4)
-                    m.access(s, li, /*is_write=*/false);
-                else if (roll < 8)
-                    m.access(s, li, /*is_write=*/true);
-                else
-                    m.evict(s, li);
-            }
-            m.flush();
-            EXPECT_EQ(m.firstViolation(), "")
-                << protocolName(AllProtocols[v]) << " seed " << seed;
-            for (int li = 0; li < Lines; ++li)
-                image[v].push_back(m.memImage(li));
-        }
-        // Differential: every variant ends with the same memory
-        // image for the same trace.
-        for (std::size_t v = 1; v < 4; ++v) {
-            EXPECT_EQ(image[0], image[v])
-                << "memory image diverged: "
-                << protocolName(AllProtocols[0]) << " vs "
-                << protocolName(AllProtocols[v]) << " seed " << seed;
-        }
-    }
-}
-
-TEST(SnoopVariantDifferential, StaleHomeStateIsRecovered)
-{
-    // Force the stale-forwarder path: a clean copy drops silently,
-    // then a read planned to be served by it must still get current
-    // data via the fallback memory read.
-    for (const Protocol p :
-         {Protocol::Mesif, Protocol::Moesi, Protocol::Dragon}) {
-        AbstractSnoopMachine m(p, 3, 1);
-        m.access(0, 0, true);  // socket 0 writes (v1)
-        m.access(1, 0, false); // socket 1 reads; believed supplier
-        m.evict(1, 0);         // ... drops its clean copy silently
-        m.evict(0, 0);         // owner writes back
-        m.access(2, 0, false); // must recover v1 from memory
-        EXPECT_EQ(m.firstViolation(), "") << protocolName(p);
-    }
 }
 
 TEST(ModelChecker, VariantNames)

@@ -85,35 +85,6 @@ TEST(ParallelKernel, AllDesignsMatchSequentialOracleByteForByte)
     EXPECT_EQ(ref.toCsv(), t4.toCsv());
 }
 
-TEST(ParallelKernel, AllProtocolVariantsMatchSequentialOracle)
-{
-    // The protocol axis crossed with the parallel kernel: every
-    // snoopy variant (including Dragon's update fan-out and the
-    // store write buffer) must be byte-identical to the 1-thread
-    // oracle at the emitter level.
-    exp::SweepGrid grid;
-    grid.workloads = {profileByName("facesim"),
-                      profileByName("canneal")};
-    grid.designs = {Design::Snoopy};
-    grid.protocols = {Protocol::Mesi, Protocol::Mesif,
-                      Protocol::Moesi, Protocol::Dragon};
-    grid.sockets = {2, 4};
-    grid.scale = 256;
-    grid.coresPerSocket = 2;
-    grid.warmupOps = 300;
-    grid.measureOps = 1200;
-
-    KernelOptions oracle;
-    const exp::ResultTable ref = runGrid(grid, oracle);
-
-    KernelOptions four;
-    four.parallel = true;
-    four.threads = 4;
-    const exp::ResultTable t4 = runGrid(grid, four);
-    EXPECT_EQ(ref.toJson(), t4.toJson());
-    EXPECT_EQ(ref.toCsv(), t4.toCsv());
-}
-
 /** Record a small deterministic 2-core trace; @p salt perturbs it. */
 TraceFileInfo
 writeTrace(const std::string &path, Addr salt = 0)

@@ -337,68 +337,6 @@ TEST(ProtocolSnoopy, WriteInvalidatesEverywhere)
     EXPECT_EQ(m.socket(3).llcState(HomedAt0), CacheState::Modified);
 }
 
-SystemConfig
-snoopyWith(Protocol p)
-{
-    SystemConfig cfg = cfgWith(Design::Snoopy);
-    cfg.protocol = p;
-    return cfg;
-}
-
-TEST(ProtocolSnoopyMesif, CleanForwardSparesMemory)
-{
-    Machine m(snoopyWith(Protocol::Mesif));
-    load(m, 1, HomedAt0); // memory read; socket 1 becomes forwarder
-    const std::uint64_t reads = m.socket(0).memory().reads();
-    const std::uint64_t fwds =
-        m.stats().valueOf("proto.snoop_clean_forwards");
-    load(m, 2, HomedAt0);
-    // The F-state holder supplied the clean block cache-to-cache;
-    // the home memory was never read again.
-    EXPECT_EQ(m.stats().valueOf("proto.snoop_clean_forwards"),
-              fwds + 1);
-    EXPECT_EQ(m.socket(0).memory().reads(), reads);
-    // Forwardership migrated to the newest reader: a third read is
-    // served by socket 2, again without memory.
-    load(m, 3, HomedAt0);
-    EXPECT_EQ(m.stats().valueOf("proto.snoop_clean_forwards"),
-              fwds + 2);
-    EXPECT_EQ(m.socket(0).memory().reads(), reads);
-}
-
-TEST(ProtocolSnoopyMoesi, DirtySupplierRetainsOwnership)
-{
-    Machine m(snoopyWith(Protocol::Moesi));
-    store(m, 1, HomedAt0);
-    const std::uint64_t writes = m.socket(0).memory().writes();
-    const std::uint64_t dirty =
-        m.stats().valueOf("proto.snoop_dirty_hits");
-    load(m, 2, HomedAt0);
-    // The owner supplied the dirty block directly (O state): no
-    // reflective writeback, memory stays stale by design.
-    EXPECT_EQ(m.stats().valueOf("proto.snoop_dirty_hits"), dirty + 1);
-    EXPECT_EQ(m.socket(0).memory().writes(), writes);
-    // The retained owner keeps supplying later readers too.
-    load(m, 3, HomedAt0);
-    EXPECT_EQ(m.stats().valueOf("proto.snoop_dirty_hits"), dirty + 2);
-    EXPECT_EQ(m.socket(0).memory().writes(), writes);
-}
-
-TEST(ProtocolSnoopyDragon, WriteUpdatesSharersInPlace)
-{
-    Machine m(snoopyWith(Protocol::Dragon));
-    load(m, 1, HomedAt0);
-    load(m, 2, HomedAt0);
-    const std::uint64_t updates =
-        m.stats().valueOf("proto.snoop_updates");
-    store(m, 3, HomedAt0);
-    // Update-based: both believed sharers received a data update and
-    // their copies remain valid -- nothing was invalidated.
-    EXPECT_EQ(m.stats().valueOf("proto.snoop_updates"), updates + 2);
-    EXPECT_NE(m.socket(1).llcState(HomedAt0), CacheState::Invalid);
-    EXPECT_NE(m.socket(2).llcState(HomedAt0), CacheState::Invalid);
-}
-
 TEST(ProtocolAll, LocalAccessGeneratesNoTraffic)
 {
     for (Design d : {Design::Baseline, Design::Snoopy, Design::FullDir,

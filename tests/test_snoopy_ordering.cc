@@ -2,15 +2,11 @@
  * @file
  * Snoopy-specific ordering tests: the home socket is the ordering
  * point (home-snoop), so concurrent conflicting transactions
- * serialize and leave exactly one owner. The ordering properties are
- * checked for every protocol variant of the family (MESI, MESIF,
- * MOESI, Dragon), and the store write buffer's total-FIFO drain is
- * pinned here too.
+ * serialize and leave exactly one owner.
  */
 
 #include <gtest/gtest.h>
 
-#include "coherence/store_buffer.hh"
 #include "common/log.hh"
 #include "sim/machine.hh"
 #include "test_helpers.hh"
@@ -21,73 +17,53 @@ namespace
 {
 
 SystemConfig
-snoopyConfig(Protocol p = Protocol::Mesi)
+snoopyConfig()
 {
     SystemConfig cfg = test::tinyConfig(Design::Snoopy, 4, 1);
     cfg.mapping = MappingPolicy::Interleave;
-    cfg.protocol = p;
     return cfg;
 }
-
-constexpr Protocol AllProtocols[] = {Protocol::Mesi, Protocol::Mesif,
-                                     Protocol::Moesi,
-                                     Protocol::Dragon};
 
 constexpr Addr Blk = 0x0C0; // homed at socket 0
 
 TEST(SnoopyOrdering, ConcurrentWritesLeaveOneOwner)
 {
     setQuiet(true);
-    for (const Protocol p : AllProtocols) {
-        Machine m(snoopyConfig(p));
-        int done = 0;
-        // All four sockets store the same block at the same tick.
-        for (SocketId s = 0; s < 4; ++s)
-            m.socket(s).store(0, Blk, false, [&] { ++done; });
-        m.eventQueue().run();
-        EXPECT_EQ(done, 4) << protocolName(p);
-        int owners = 0, holders = 0;
-        for (SocketId s = 0; s < 4; ++s) {
-            const CacheState st = m.socket(s).llcState(Blk);
-            owners += st == CacheState::Modified;
-            holders += st != CacheState::Invalid;
-        }
-        if (p == Protocol::Dragon) {
-            // Update-based: nobody is invalidated; the home still
-            // serialized the four writes into a total order.
-            EXPECT_GE(holders, 1) << protocolName(p);
-        } else {
-            EXPECT_EQ(owners, 1) << protocolName(p);
-        }
-    }
+    Machine m(snoopyConfig());
+    int done = 0;
+    // All four sockets store the same block at the same tick.
+    for (SocketId s = 0; s < 4; ++s)
+        m.socket(s).store(0, Blk, false, [&] { ++done; });
+    m.eventQueue().run();
+    EXPECT_EQ(done, 4);
+    int owners = 0;
+    for (SocketId s = 0; s < 4; ++s)
+        owners += m.socket(s).llcState(Blk) == CacheState::Modified;
+    EXPECT_EQ(owners, 1);
 }
 
 TEST(SnoopyOrdering, ConcurrentReadWriteMix)
 {
     setQuiet(true);
-    for (const Protocol p : AllProtocols) {
-        Machine m(snoopyConfig(p));
-        int done = 0;
-        m.socket(1).load(0, Blk, [&] { ++done; });
-        m.socket(2).store(0, Blk, false, [&] { ++done; });
-        m.socket(3).load(0, Blk, [&] { ++done; });
-        m.socket(0).store(0, Blk, false, [&] { ++done; });
-        m.eventQueue().run();
-        EXPECT_EQ(done, 4) << protocolName(p);
-        // SWMR audit (Dragon pairs an owner with updated sharers).
-        int owners = 0, sharers = 0;
-        for (SocketId s = 0; s < 4; ++s) {
-            const CacheState st = m.socket(s).llcState(Blk);
-            owners += st == CacheState::Modified;
-            sharers += st == CacheState::Shared;
-        }
-        if (p == Protocol::Dragon)
-            continue;
-        if (owners == 1)
-            EXPECT_EQ(sharers, 0) << protocolName(p);
-        else
-            EXPECT_EQ(owners, 0) << protocolName(p);
+    Machine m(snoopyConfig());
+    int done = 0;
+    m.socket(1).load(0, Blk, [&] { ++done; });
+    m.socket(2).store(0, Blk, false, [&] { ++done; });
+    m.socket(3).load(0, Blk, [&] { ++done; });
+    m.socket(0).store(0, Blk, false, [&] { ++done; });
+    m.eventQueue().run();
+    EXPECT_EQ(done, 4);
+    // SWMR audit: an owner excludes every sharer.
+    int owners = 0, sharers = 0;
+    for (SocketId s = 0; s < 4; ++s) {
+        const CacheState st = m.socket(s).llcState(Blk);
+        owners += st == CacheState::Modified;
+        sharers += st == CacheState::Shared;
     }
+    if (owners == 1)
+        EXPECT_EQ(sharers, 0);
+    else
+        EXPECT_EQ(owners, 0);
 }
 
 TEST(SnoopyOrdering, DirtySupplierCleansItself)
@@ -142,92 +118,6 @@ TEST(SnoopyOrdering, EverySnoopPaysTheDramCacheAccess)
     // The furthest probe (2 ring hops away) plus its DRAM-cache
     // access bounds the completion from below.
     EXPECT_GE(lat, 4 * cfg.hopLatency + cfg.dramCacheLatency);
-}
-
-// ---------------------------------------------------------------------------
-// Store write buffer: total FIFO, paced drain, lossless force-drain.
-
-struct BufferRig
-{
-    EventQueue eq;
-    SystemConfig cfg = test::tinyConfig(Design::Snoopy, 4, 1);
-    MemoryController mem{eq, cfg, 0, nullptr};
-    Counter enq, drn, stalls;
-    StoreBuffer buf;
-
-    explicit BufferRig(std::uint32_t depth, Tick latency)
-    {
-        buf.init(&eq, &mem, depth, latency, &enq, &drn, &stalls);
-    }
-};
-
-TEST(StoreBufferModel, DepthZeroIsPassthrough)
-{
-    setQuiet(true);
-    BufferRig rig(0, 10);
-    for (int i = 0; i < 5; ++i)
-        rig.buf.push(0x40 * i, false);
-    // Bypass: writes hit the controller immediately, nothing queues,
-    // no buffer counter ever ticks.
-    EXPECT_EQ(rig.buf.pending(), 0u);
-    EXPECT_EQ(rig.mem.writes(), 5u);
-    EXPECT_EQ(rig.enq.value(), 0u);
-    EXPECT_EQ(rig.drn.value(), 0u);
-}
-
-TEST(StoreBufferModel, DrainsOnePerLatency)
-{
-    setQuiet(true);
-    BufferRig rig(8, 10);
-    for (int i = 0; i < 4; ++i)
-        rig.buf.push(0x40 * i, false);
-    EXPECT_EQ(rig.buf.pending(), 4u);
-    // Sample occupancy between drain events: one entry leaves every
-    // ten ticks, never a burst.
-    std::vector<std::size_t> samples;
-    for (const Tick t : {9, 11, 21, 31, 41})
-        rig.eq.schedule(t, [&] { samples.push_back(rig.buf.pending()); });
-    rig.eq.run();
-    const std::vector<std::size_t> expect = {4, 3, 2, 1, 0};
-    EXPECT_EQ(samples, expect);
-    EXPECT_EQ(rig.drn.value(), 4u);
-    EXPECT_EQ(rig.mem.writes(), 4u);
-    EXPECT_EQ(rig.stalls.value(), 0u);
-}
-
-TEST(StoreBufferModel, FullBufferForceDrainsOldest)
-{
-    setQuiet(true);
-    BufferRig rig(2, 10);
-    for (int i = 0; i < 4; ++i) {
-        rig.buf.push(0x40 * i, false);
-        EXPECT_LE(rig.buf.pending(), 2u);
-    }
-    // Pushes three and four each found the buffer full: the oldest
-    // entry was forced out at once instead of being dropped.
-    EXPECT_EQ(rig.stalls.value(), 2u);
-    EXPECT_EQ(rig.mem.writes(), 2u);
-    rig.eq.run();
-    EXPECT_EQ(rig.buf.pending(), 0u);
-    EXPECT_EQ(rig.mem.writes(), 4u);
-    EXPECT_EQ(rig.drn.value(), 4u);
-}
-
-TEST(StoreBufferModel, SameAddressStoresAreConserved)
-{
-    // The FIFO never merges, reorders, or drops same-address stores:
-    // N pushes reach the controller as exactly N writes even when the
-    // buffer wraps through full several times.
-    setQuiet(true);
-    BufferRig rig(3, 5);
-    constexpr int N = 32;
-    for (int i = 0; i < N; ++i)
-        rig.buf.push(0x0C0, i % 2 == 0);
-    rig.eq.run();
-    EXPECT_EQ(rig.buf.pending(), 0u);
-    EXPECT_EQ(rig.enq.value(), static_cast<std::uint64_t>(N));
-    EXPECT_EQ(rig.drn.value(), static_cast<std::uint64_t>(N));
-    EXPECT_EQ(rig.mem.writes(), static_cast<std::uint64_t>(N));
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/log.hh"
+#include "exp/journal.hh"
 #include "exp/json.hh"
 #include "exp/sweep_engine.hh"
 #include "test_helpers.hh"
@@ -231,6 +232,68 @@ TEST(ResultTable, CsvRoundTrip)
     EXPECT_EQ(parsed.toCsv(), csv);
 }
 
+TEST(ResultTable, RejectsProtocolOtherThanMesi)
+{
+    // The protocol column is always "mesi". A row naming another
+    // snoopy protocol (an older build's journal or artifact) cannot be
+    // reproduced, so every reader refuses it and names the value.
+    exp::SweepGrid grid = smallGrid();
+    grid.designs = {Design::Snoopy};
+    const std::vector<exp::RunSpec> specs = grid.expand();
+    const exp::ResultRow row =
+        exp::SweepEngine::makeRow(specs[0], RunResult{});
+    exp::ResultTable table;
+    table.appendRow(row);
+    const auto other = [](std::string text) {
+        const std::size_t at = text.find("mesi");
+        EXPECT_NE(at, std::string::npos);
+        return text.replace(at, 4, "firefly");
+    };
+
+    exp::ResultTable parsed;
+    std::string error;
+    ASSERT_TRUE(exp::ResultTable::fromCsv(table.toCsv(), parsed, error))
+        << error;
+    EXPECT_FALSE(
+        exp::ResultTable::fromCsv(other(table.toCsv()), parsed, error));
+    EXPECT_NE(error.find("'firefly'"), std::string::npos) << error;
+
+    error.clear();
+    ASSERT_TRUE(
+        exp::ResultTable::fromJson(table.toJson(), parsed, error))
+        << error;
+    EXPECT_FALSE(
+        exp::ResultTable::fromJson(other(table.toJson()), parsed, error));
+    EXPECT_NE(error.find("'firefly'"), std::string::npos) << error;
+
+    const std::string header =
+        exp::journalHeaderLine(specs.size(), exp::gridFingerprint(specs));
+    const std::string entry = exp::journalEntryLine(0, row);
+    exp::JournalData data;
+    error.clear();
+    ASSERT_TRUE(exp::parseJournal(header + entry, data, error)) << error;
+    EXPECT_EQ(data.entries.size(), 1u);
+    EXPECT_FALSE(exp::parseJournal(header + other(entry), data, error));
+    EXPECT_NE(error.find("'firefly'"), std::string::npos) << error;
+}
+
+TEST(SweepGrid, FingerprintOfMesiGridIsPinned)
+{
+    // The protocol axis is gone but every identity key still carries
+    // "mesi", so grids fingerprint as they did before: journals written
+    // by a build with the axis keep resuming and merging. The value was
+    // computed by that build (commit af39cc7).
+    exp::SweepGrid grid;
+    grid.workloads = {profileByName("facesim")};
+    grid.designs = {Design::Baseline, Design::Snoopy};
+    grid = exp::quickPreset(std::move(grid));
+    const std::vector<exp::RunSpec> specs = grid.expand();
+    ASSERT_EQ(specs.size(), 2u);
+    EXPECT_EQ(exp::specIdentityKey(specs[1]),
+              "facesim||snoopy|mesi|FT2|4|2|256|0|500|2000|50128");
+    EXPECT_EQ(exp::gridFingerprint(specs), "606315acc224b784");
+}
+
 TEST(ResultTable, RejectsMalformedInput)
 {
     exp::ResultTable parsed;
@@ -307,17 +370,14 @@ TEST(ResultTable, GoldenGridMatchesCommittedArtifacts)
 
 TEST(ResultTable, AllDesignGridMatchesCommittedArtifact)
 {
-    // Every design under every snoopy protocol on 1, 2 and 4
-    // sockets: pins the rows of the engines the golden grid above
-    // leaves out (full-dir, c3d-full-dir, MESIF/MOESI/Dragon) and the
-    // single-socket paths.
+    // Every design on 1, 2 and 4 sockets: pins the rows of the
+    // engines the golden grid above leaves out (full-dir,
+    // c3d-full-dir) and the single-socket paths.
     exp::SweepGrid grid;
     grid.workloads = {profileByName("facesim"),
                       profileByName("canneal")};
     grid.designs = {Design::Baseline, Design::Snoopy, Design::FullDir,
                     Design::C3D, Design::C3DFullDir};
-    grid.protocols = {Protocol::Mesi, Protocol::Mesif, Protocol::Moesi,
-                      Protocol::Dragon};
     grid.sockets = {1, 2, 4};
     grid = exp::quickPreset(std::move(grid));
     const exp::ResultTable table = exp::SweepEngine(4).run(grid);

@@ -3,7 +3,7 @@
  * c3d-sweep: declarative parameter-sweep CLI over the experiment
  * engine.
  *
- * Expands a grid of protocol x sockets x DRAM-cache capacity x
+ * Expands a grid of design x sockets x DRAM-cache capacity x
  * mapping x workload points, executes the runs on a worker pool, and
  * emits the result table as JSON (default), CSV, or a human table.
  * Rows are ordered by grid expansion, never by completion, so output
@@ -277,10 +277,6 @@ sweepTable(SweepCli &cli)
         .list("designs", "A,B",
               "baseline|snoopy|full-dir|c3d|c3d-full-dir (default c3d)",
               cli.grid.designs, parseDesign, "unknown design")
-        .list("protocols", "A,B",
-              "mesi|mesif|moesi|dragon (default mesi); directory "
-              "designs ignore it but name it in the row identity",
-              cli.grid.protocols, parseProtocol, "unknown protocol")
         .custom("workloads", "A,B|all",
                 "profile names (default facesim), 'all' (the nine "
                 "parallel profiles), 'trace:FILE', 'traces:MANIFEST' or "
@@ -392,7 +388,6 @@ finishSweepCli(SweepCli &cli)
     const exp::SweepGrid &g = cli.grid;
     for (const auto &[empty, axis] :
          {std::pair{g.designs.empty(), "design"},
-          {g.protocols.empty(), "protocol"},
           {g.workloads.empty(), "workload"},
           {g.sockets.empty(), "socket"},
           {g.dramCacheMb.empty(), "dram-cache-mb"},
