@@ -5,6 +5,9 @@
  * Stores per-block coherence state and an auxiliary word (used by the
  * LLC for its embedded local-directory sharing vector). The array is
  * purely structural: timing is charged by the owning cache model.
+ * It backs the L1s and the LLC; the direct-mapped DRAM cache keeps
+ * its own packed frame words (dramcache/dram_cache.hh) and the
+ * sparse directory its own parallel tag arrays.
  */
 
 #ifndef C3DSIM_CACHE_TAG_ARRAY_HH
@@ -32,7 +35,8 @@ struct TagEntry
 {
     Addr tag = 0;
     CacheState state = CacheState::Invalid;
-    /** LLC use: bitmask of cores holding the block in their L1s. */
+    /** LLC use: bitmask of cores holding the block in their L1s (the
+     * L1s leave it 0). */
     std::uint64_t aux = 0;
     /** LRU stamp; larger is more recent. */
     std::uint64_t lastUse = 0;
@@ -190,17 +194,6 @@ class TagArray
             if (e.valid())
                 ++n;
         return n;
-    }
-
-    /** Visit every valid entry (for recalls / inspection). */
-    template <typename Fn>
-    void
-    forEachValid(Fn &&fn) const
-    {
-        for (const auto &e : entries) {
-            if (e.valid())
-                fn(e);
-        }
     }
 
   private:

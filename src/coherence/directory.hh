@@ -21,9 +21,9 @@
 #define C3DSIM_COHERENCE_DIRECTORY_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "coherence/blocking.hh"
 #include "common/block_map.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
@@ -78,17 +78,15 @@ class DirectoryStore
     /** Look up @p addr; nullptr when untracked. */
     virtual DirEntry *find(Addr addr) = 0;
 
-    /** Filter for recall victims (e.g. "block not locked"). */
-    using Evictable = std::function<bool(Addr)>;
-
     /**
      * Allocate (or find) an entry for @p addr. May displace a victim
-     * whose sharers the caller must invalidate. @p evictable, when
-     * set, restricts which victims may be recalled -- a block with a
-     * transaction in flight must not lose its entry mid-transaction.
+     * whose sharers the caller must invalidate. @p busy, when set, is
+     * the home's lock table: a block with a transaction in flight
+     * there must not lose its entry mid-transaction, so it is not
+     * recalled while another way qualifies (nullptr: any way).
      */
     virtual DirEntry *allocate(Addr addr, DirRecall &recall,
-                               const Evictable &evictable = {}) = 0;
+                               const BlockingTable *busy = nullptr) = 0;
 
     /** Drop the entry for @p addr (transition to untracked). */
     virtual void erase(Addr addr) = 0;
@@ -100,11 +98,22 @@ class DirectoryStore
     virtual std::uint64_t storageBits() const = 0;
 };
 
-/** Set-associative sparse directory with recalls. */
+/**
+ * Set-associative sparse directory with recalls.
+ *
+ * The ways are kept as parallel arrays rather than one struct per
+ * slot: a set scan compares only `tags` (block+1, 0 = invalid), so a
+ * 32-way probe reads 256 bytes; the LRU `stamps` are read only to
+ * pick a recall victim and the DirEntry only on a hit.
+ */
 class SparseDirectory : public DirectoryStore
 {
   public:
     /**
+     * The requested geometry is kept exactly. A power-of-two set
+     * count selects its set with a mask, any other count (e.g.
+     * `--scale=48`) with the exact modulo.
+     *
      * @param num_entries capacity in entries
      * @param ways associativity
      * @param num_sockets sharing-vector width
@@ -117,7 +126,11 @@ class SparseDirectory : public DirectoryStore
         c3d_assert(ways >= 1, "directory needs at least one way");
         std::uint64_t entries = num_entries < ways ? ways : num_entries;
         sets = entries / ways;
-        slots.assign(sets * ways, Slot{});
+        setsArePow2 = (sets & (sets - 1)) == 0;
+        setMask = setsArePow2 ? sets - 1 : 0;
+        tags.assign(sets * ways, 0);
+        stamps.assign(sets * ways, 0);
+        dirEntries.assign(sets * ways, DirEntry{});
         recalls.init(stats, name + ".recalls",
                      "entries displaced by allocation conflicts");
         allocations.init(stats, name + ".allocations",
@@ -128,11 +141,12 @@ class SparseDirectory : public DirectoryStore
     find(Addr addr) override
     {
         const Addr blk = blockNumber(addr);
-        Slot *base = setBase(blk);
+        const std::size_t base = setBase(blk);
+        const Addr *set = &tags[base];
         for (std::uint32_t w = 0; w < numWays; ++w) {
-            if (base[w].valid && base[w].tag == blk) {
-                base[w].lastUse = ++useStamp;
-                return &base[w].entry;
+            if (set[w] == blk + 1) {
+                stamps[base + w] = ++useStamp;
+                return &dirEntries[base + w];
             }
         }
         return nullptr;
@@ -140,7 +154,7 @@ class SparseDirectory : public DirectoryStore
 
     DirEntry *
     allocate(Addr addr, DirRecall &recall,
-             const Evictable &evictable = {}) override
+             const BlockingTable *busy = nullptr) override
     {
         recall.valid = false;
         if (DirEntry *e = find(addr))
@@ -148,52 +162,42 @@ class SparseDirectory : public DirectoryStore
 
         ++allocations;
         const Addr blk = blockNumber(addr);
-        Slot *base = setBase(blk);
-        Slot *victim = nullptr;
+        const std::size_t base = setBase(blk);
+        std::size_t victim = NoWay;
         for (std::uint32_t w = 0; w < numWays; ++w) {
-            if (!base[w].valid) {
-                victim = &base[w];
+            if (tags[base + w] == 0) {
+                victim = base + w;
                 break;
             }
         }
-        if (!victim) {
+        if (victim == NoWay) {
             // Recall the LRU way among those whose block is safe to
             // displace; fall back to plain LRU if none qualifies
             // (vanishingly rare: every way mid-transaction).
-            for (std::uint32_t w = 0; w < numWays; ++w) {
-                const Addr victim_addr = base[w].tag << BlockShift;
-                if (evictable && !evictable(victim_addr))
-                    continue;
-                if (!victim || base[w].lastUse < victim->lastUse)
-                    victim = &base[w];
-            }
-            if (!victim) {
-                victim = &base[0];
-                for (std::uint32_t w = 1; w < numWays; ++w) {
-                    if (base[w].lastUse < victim->lastUse)
-                        victim = &base[w];
-                }
-            }
+            victim = lruWay(base, busy);
+            if (victim == NoWay)
+                victim = lruWay(base, nullptr);
             ++recalls;
             recall.valid = true;
-            recall.addr = victim->tag << BlockShift;
-            recall.entry = victim->entry;
+            recall.addr = blockAddr(victim);
+            recall.entry = dirEntries[victim];
         }
-        victim->valid = true;
-        victim->tag = blk;
-        victim->entry = DirEntry{};
-        victim->lastUse = ++useStamp;
-        return &victim->entry;
+        tags[victim] = blk + 1;
+        stamps[victim] = ++useStamp;
+        dirEntries[victim] = DirEntry{};
+        return &dirEntries[victim];
     }
 
     void
     erase(Addr addr) override
     {
         const Addr blk = blockNumber(addr);
-        Slot *base = setBase(blk);
+        const std::size_t base = setBase(blk);
         for (std::uint32_t w = 0; w < numWays; ++w) {
-            if (base[w].valid && base[w].tag == blk) {
-                base[w] = Slot{};
+            if (tags[base + w] == blk + 1) {
+                // The stamp and entry are rewritten by the next
+                // allocate of this way.
+                tags[base + w] = 0;
                 return;
             }
         }
@@ -203,8 +207,8 @@ class SparseDirectory : public DirectoryStore
     trackedBlocks() const override
     {
         std::uint64_t n = 0;
-        for (const auto &s : slots)
-            if (s.valid)
+        for (const Addr t : tags)
+            if (t != 0)
                 ++n;
         return n;
     }
@@ -215,31 +219,57 @@ class SparseDirectory : public DirectoryStore
         // Per entry: tag (assume 48-bit addresses) + state + vector.
         const std::uint64_t tag_bits = 48 - BlockShift;
         const std::uint64_t entry_bits = tag_bits + 2 + vectorBits;
-        return slots.size() * entry_bits;
+        return tags.size() * entry_bits;
     }
 
     std::uint64_t recallCount() const { return recalls.value(); }
 
   private:
-    struct Slot
-    {
-        bool valid = false;
-        Addr tag = 0;
-        DirEntry entry;
-        std::uint64_t lastUse = 0;
-    };
+    static constexpr std::size_t NoWay = ~std::size_t(0);
 
-    Slot *
-    setBase(Addr blk)
+    /** First-slot index of @p blk's set. */
+    std::size_t
+    setBase(Addr blk) const
     {
-        return &slots[(blk % sets) * numWays];
+        const std::uint64_t set =
+            setsArePow2 ? (blk & setMask) : (blk % sets);
+        return static_cast<std::size_t>(set * numWays);
+    }
+
+    /** Block address held by valid slot @p i. */
+    Addr
+    blockAddr(std::size_t i) const
+    {
+        return (tags[i] - 1) << BlockShift;
+    }
+
+    /**
+     * Least-recently-used slot of the full set at @p base, skipping
+     * blocks @p busy has locked (nullptr: skip none); ties keep the
+     * lowest way. NoWay when every way is locked.
+     */
+    std::size_t
+    lruWay(std::size_t base, const BlockingTable *busy) const
+    {
+        std::size_t lru = NoWay;
+        for (std::size_t i = base; i < base + numWays; ++i) {
+            if (busy && busy->isBusy(blockAddr(i)))
+                continue;
+            if (lru == NoWay || stamps[i] < stamps[lru])
+                lru = i;
+        }
+        return lru;
     }
 
     std::uint64_t sets = 0;
+    std::uint64_t setMask = 0;
+    bool setsArePow2 = false;
     const std::uint32_t numWays;
     const std::uint32_t vectorBits;
     std::uint64_t useStamp = 0;
-    std::vector<Slot> slots;
+    std::vector<Addr> tags;              //!< block+1 per slot, 0 = invalid
+    std::vector<std::uint64_t> stamps;   //!< LRU stamp; larger is newer
+    std::vector<DirEntry> dirEntries;
     Counter recalls;
     Counter allocations;
 };
@@ -266,7 +296,7 @@ class FullDirectory : public DirectoryStore
 
     DirEntry *
     allocate(Addr addr, DirRecall &recall,
-             const Evictable & = {}) override
+             const BlockingTable * = nullptr) override
     {
         recall.valid = false;
         auto [e, inserted] = map.emplace(blockNumber(addr));

@@ -36,14 +36,6 @@ DirectoryProtocol::DirectoryProtocol(Machine &machine, StatGroup *stats,
                              "GetX served by a remote owner socket");
 }
 
-DirectoryStore::Evictable
-DirectoryProtocol::notBusyAt(SocketId home)
-{
-    return [this, home](Addr a) {
-        return !homeLocks[home].isBusy(a);
-    };
-}
-
 void
 DirectoryProtocol::resolveRecall(SocketId home, const DirRecall &recall)
 {
@@ -199,7 +191,7 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
     if (policy.allocateOnRead) {
         DirRecall recall;
         DirEntry *ne = dirs[home]->allocate(addr, recall,
-                                            notBusyAt(home));
+                                            &homeLocks[home]);
         ne->state = DirState::Shared;
         ne->sharers = 0;
         ne->addSharer(req);
@@ -336,7 +328,7 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
     // Untracked (Invalid) write.
     DirRecall recall;
     DirEntry *ne = dirs[home]->allocate(addr, recall,
-                                        notBusyAt(home));
+                                        &homeLocks[home]);
     ne->state = DirState::Modified;
     ne->owner = req;
     ne->sharers = 0;

@@ -105,9 +105,6 @@ class DirectoryProtocol : public ProtocolBase
     /** Send the joined write's response once both halves are in. */
     void tryFinish(SocketId home, WriteJoin *join);
 
-    /** Recall-victim filter: blocks mid-transaction are pinned. */
-    DirectoryStore::Evictable notBusyAt(SocketId home);
-
     const char *designName;
     const DirPolicy policy;
     std::vector<std::unique_ptr<DirectoryStore>> dirs;

@@ -12,7 +12,15 @@ DramCache::DramCache(EventQueue &eq, const SystemConfig &cfg,
       accessLatency(cfg.dramCacheLatency),
       allowDirty(cfg.dirtyDramCache())
 {
-    tags.init(cfg.dramCacheBytes, /*ways=*/1);
+    // The requested capacity is kept exactly: a power-of-two frame
+    // count selects its frame with a mask, any other count (e.g.
+    // `--scale=48`) with the exact modulo.
+    std::uint64_t n = cfg.dramCacheBytes / BlockBytes;
+    if (n < 1)
+        n = 1;
+    frames.assign(n, 0);
+    framesArePow2 = (n & (n - 1)) == 0;
+    frameMask = framesArePow2 ? n - 1 : 0;
 
     const std::string prefix =
         "socket" + std::to_string(socket) + ".dram_cache";
@@ -44,10 +52,21 @@ DramCache::DramCache(EventQueue &eq, const SystemConfig &cfg,
     statPrefix = prefix;
 }
 
+std::uint64_t
+DramCache::validBlocks() const
+{
+    std::uint64_t n = 0;
+    for (const std::uint64_t f : frames)
+        if (f != 0)
+            ++n;
+    return n;
+}
+
 void
 DramCache::enableTenantTracking(std::uint32_t tenants)
 {
-    c3d_assert(tenantBlocks.empty(), "tenant tracking enabled twice");
+    c3d_assert(owners.empty(), "tenant tracking enabled twice");
+    owners.assign(frames.size(), 0);
     tenantBlocks.assign(tenants, 0);
     tenantHits = std::vector<Counter>(tenants);
     tenantMisses = std::vector<Counter>(tenants);
@@ -64,7 +83,7 @@ DramCache::enableTenantTracking(std::uint32_t tenants)
 void
 DramCache::countTenant(std::uint32_t tenant, bool hit)
 {
-    if (tenant == NoTenant || tenantBlocks.empty())
+    if (tenant == NoTenant || owners.empty())
         return;
     if (hit)
         ++tenantHits[tenant];
@@ -73,24 +92,25 @@ DramCache::countTenant(std::uint32_t tenant, bool hit)
 }
 
 void
-DramCache::setOwner(TagEntry *e, std::uint32_t tenant)
+DramCache::setOwner(std::size_t i, std::uint32_t tenant)
 {
-    if (tenant == NoTenant || tenantBlocks.empty())
+    if (tenant == NoTenant || owners.empty())
         return;
-    const std::uint64_t tag = static_cast<std::uint64_t>(tenant) + 1;
-    if (e->aux == tag)
+    const std::uint32_t tag = tenant + 1;
+    if (owners[i] == tag)
         return;
-    dropOwnerAux(e->aux);
-    e->aux = tag;
+    clearOwner(i);
+    owners[i] = tag;
     ++tenantBlocks[tenant];
 }
 
 void
-DramCache::dropOwnerAux(std::uint64_t aux)
+DramCache::clearOwner(std::size_t i)
 {
-    if (!aux || tenantBlocks.empty())
+    if (owners.empty() || !owners[i])
         return;
-    --tenantBlocks[static_cast<std::size_t>(aux - 1)];
+    --tenantBlocks[owners[i] - 1];
+    owners[i] = 0;
 }
 
 Tick
@@ -101,12 +121,11 @@ DramCache::chargeChannel(Addr addr, Tick start)
 }
 
 bool
-DramCache::predictPresent(Addr addr)
+DramCache::predictPresent(Addr addr, bool present)
 {
     if (exactPredictor) {
         // MissMap mode: exact block-grain presence, never wrong in
         // either direction.
-        const bool present = tags.find(addr) != nullptr;
         predictor.recordExactQuery(present);
         return present;
     }
@@ -117,8 +136,13 @@ DramCacheProbe
 DramCache::lookup(Addr addr, bool always_access, std::uint32_t tenant)
 {
     const Tick now = eventq.now();
+    const Addr blk = blockNumber(addr);
+    const std::size_t i = frameOf(blk);
+    const std::uint64_t f = frames[i];
+    const bool present = holds(f, blk);
 
-    if (!always_access && predictorEnabled && !predictPresent(addr)) {
+    if (!always_access && predictorEnabled &&
+        !predictPresent(addr, present)) {
         // Predicted absent: answer without a DRAM access. The
         // counting filter never reports absent for a present block,
         // so this path cannot hide data.
@@ -134,14 +158,12 @@ DramCache::lookup(Addr addr, bool always_access, std::uint32_t tenant)
     const Tick ready = chargeChannel(addr, access_start + accessLatency);
 
     DramCacheProbe res;
-    TagEntry *e = tags.find(addr);
-    if (e) {
+    if (present) {
         ++hits;
         countTenant(tenant, true);
-        setOwner(e, tenant);
-        tags.touch(e);
+        setOwner(i, tenant);
         res.present = true;
-        res.dirty = e->state == CacheState::Modified;
+        res.dirty = stateOf(f) == CacheState::Modified;
     } else {
         ++misses;
         countTenant(tenant, false);
@@ -150,6 +172,27 @@ DramCache::lookup(Addr addr, bool always_access, std::uint32_t tenant)
     }
     res.readyAt = ready;
     return res;
+}
+
+DramCacheVictim
+DramCache::fill(std::size_t i, Addr addr, CacheState s)
+{
+    DramCacheVictim victim;
+    const std::uint64_t old = frames[i];
+    if (old != 0) {
+        victim.valid = true;
+        victim.addr = (old >> 2) << BlockShift;
+        victim.dirty = stateOf(old) == CacheState::Modified;
+        if (victim.dirty)
+            ++evictionsDirty;
+        else
+            ++evictionsClean;
+        predictor.onRemove(victim.addr);
+        clearOwner(i);
+    }
+    predictor.onInsert(addr);
+    frames[i] = pack(blockNumber(addr), s);
+    return victim;
 }
 
 DramCacheVictim
@@ -164,26 +207,17 @@ DramCache::insert(Addr addr, bool dirty, std::uint32_t tenant)
 
     const CacheState new_state =
         dirty ? CacheState::Modified : CacheState::Shared;
+    const Addr blk = blockNumber(addr);
+    const std::size_t i = frameOf(blk);
 
     DramCacheVictim victim;
-    const bool was_present = tags.find(addr) != nullptr;
-    AllocResult ar = tags.allocate(addr, new_state);
-    if (ar.evictedValid) {
-        victim.valid = true;
-        victim.addr = ar.victimAddr;
-        victim.dirty = ar.victimState == CacheState::Modified;
-        if (victim.dirty)
-            ++evictionsDirty;
-        else
-            ++evictionsClean;
-        predictor.onRemove(victim.addr);
-        dropOwnerAux(ar.victimAux);
-    }
-    if (!was_present)
-        predictor.onInsert(addr);
-    // After allocate: a fresh slot starts unowned (aux zeroed), a
-    // reused slot keeps its owner unless the insert names one.
-    setOwner(ar.entry, tenant);
+    if (holds(frames[i], blk))
+        frames[i] = pack(blk, new_state);
+    else
+        victim = fill(i, addr, new_state);
+    // A filled frame starts unowned, a present block keeps its owner
+    // unless the insert names one.
+    setOwner(i, tenant);
     return victim;
 }
 
@@ -191,9 +225,13 @@ DramCacheProbe
 DramCache::drop(Addr addr)
 {
     const Tick now = eventq.now();
+    const Addr blk = blockNumber(addr);
+    const std::size_t i = frameOf(blk);
+    const std::uint64_t f = frames[i];
+    const bool present = holds(f, blk);
     DramCacheProbe res;
 
-    if (predictorEnabled && !predictPresent(addr)) {
+    if (predictorEnabled && !predictPresent(addr, present)) {
         res.readyAt = now + predictorLatency;
         return res;
     }
@@ -201,11 +239,11 @@ DramCache::drop(Addr addr)
     const Tick access_start =
         now + (predictorEnabled ? predictorLatency : 0);
 
-    if (const TagEntry *e = tags.find(addr)) {
+    if (present) {
         res.present = true;
-        res.dirty = e->state == CacheState::Modified;
-        dropOwnerAux(e->aux);
-        tags.invalidate(addr);
+        res.dirty = stateOf(f) == CacheState::Modified;
+        clearOwner(i);
+        frames[i] = 0;
         predictor.onRemove(addr);
         ++invalidations;
     } else if (predictorEnabled && !exactPredictor) {
@@ -220,32 +258,20 @@ DramCache::drop(Addr addr)
 DramCacheVictim
 DramCache::updateClean(Addr addr, std::uint32_t tenant)
 {
-    DramCacheVictim victim;
     chargeChannel(addr, eventq.now() + accessLatency);
 
-    if (TagEntry *e = tags.find(addr)) {
+    const Addr blk = blockNumber(addr);
+    const std::size_t i = frameOf(blk);
+    if (holds(frames[i], blk)) {
         ++writeUpdates;
-        e->state = CacheState::Shared;
-        setOwner(e, tenant);
-        tags.touch(e);
-        return victim;
+        frames[i] = pack(blk, CacheState::Shared);
+        setOwner(i, tenant);
+        return DramCacheVictim{};
     }
 
     ++inserts;
-    AllocResult ar = tags.allocate(addr, CacheState::Shared);
-    if (ar.evictedValid) {
-        victim.valid = true;
-        victim.addr = ar.victimAddr;
-        victim.dirty = ar.victimState == CacheState::Modified;
-        if (victim.dirty)
-            ++evictionsDirty;
-        else
-            ++evictionsClean;
-        predictor.onRemove(victim.addr);
-        dropOwnerAux(ar.victimAux);
-    }
-    predictor.onInsert(addr);
-    setOwner(ar.entry, tenant);
+    const DramCacheVictim victim = fill(i, addr, CacheState::Shared);
+    setOwner(i, tenant);
     return victim;
 }
 

@@ -23,7 +23,7 @@
 #include <utility>
 #include <vector>
 
-#include "cache/tag_array.hh"
+#include "cache/tag_array.hh" // CacheState
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -137,22 +137,28 @@ class DramCache
                                 std::uint32_t tenant = NoTenant);
 
     /** Structural presence check with no timing (tests/inspection). */
-    bool contains(Addr addr) const { return tags.find(addr) != nullptr; }
+    bool
+    contains(Addr addr) const
+    {
+        const Addr blk = blockNumber(addr);
+        return holds(frames[frameOf(blk)], blk);
+    }
     bool
     isDirty(Addr addr) const
     {
-        const TagEntry *e = tags.find(addr);
-        return e && e->state == CacheState::Modified;
+        const Addr blk = blockNumber(addr);
+        const std::uint64_t f = frames[frameOf(blk)];
+        return holds(f, blk) && stateOf(f) == CacheState::Modified;
     }
 
-    std::uint64_t capacityBlocks() const { return tags.capacityBlocks(); }
-    std::uint64_t validBlocks() const { return tags.validBlocks(); }
+    std::uint64_t capacityBlocks() const { return frames.size(); }
+    std::uint64_t validBlocks() const;
 
     std::uint64_t hitCount() const { return hits.value(); }
     std::uint64_t missCount() const { return misses.value(); }
 
     // ---- per-tenant attribution (enableTenantTracking) -----------------
-    bool tenantTrackingEnabled() const { return !tenantBlocks.empty(); }
+    bool tenantTrackingEnabled() const { return !owners.empty(); }
     /** Blocks currently owned by tenant @p t (live gauge; unlike the
      * hit/miss counters it is NOT reset at the warm-up boundary). */
     std::uint64_t tenantOccupancy(std::uint32_t t) const
@@ -190,25 +196,70 @@ class DramCache
     /** Serialize an access burst on the channel for @p addr. */
     Tick chargeChannel(Addr addr, Tick start);
 
-    /** Presence prediction (exact MissMap or counting filter). */
-    bool predictPresent(Addr addr);
+    /**
+     * Presence prediction. The exact MissMap answers @p present, the
+     * frame's own tag match, which the caller read once for both the
+     * prediction and the access; the counting filter answers from
+     * its region counters.
+     */
+    bool predictPresent(Addr addr, bool present);
 
     /** Tick tenant @p t's hit or miss counter (NoTenant: no-op). */
     void countTenant(std::uint32_t tenant, bool hit);
 
-    /**
-     * Transfer ownership of @p e to @p tenant. The owner lives in
-     * TagEntry::aux as tenant+1 (0 = unowned; the LLC uses aux for
-     * its sharer vector, the DRAM cache for this tag), so eviction
-     * paths recover the displaced owner from AllocResult::victimAux.
-     */
-    void setOwner(TagEntry *e, std::uint32_t tenant);
+    /** Frame index of block @p blk (direct-mapped). */
+    std::size_t
+    frameOf(Addr blk) const
+    {
+        return static_cast<std::size_t>(
+            framesArePow2 ? (blk & frameMask) : (blk % frames.size()));
+    }
 
-    /** A block with owner tag @p aux left the cache. */
-    void dropOwnerAux(std::uint64_t aux);
+    /** Frame word for block @p blk held in state @p s. */
+    static std::uint64_t
+    pack(Addr blk, CacheState s)
+    {
+        return (blk << 2) | static_cast<std::uint64_t>(s);
+    }
+
+    static CacheState
+    stateOf(std::uint64_t frame)
+    {
+        return static_cast<CacheState>(frame & 3);
+    }
+
+    /** Whether frame word @p frame holds block @p blk. */
+    static bool
+    holds(std::uint64_t frame, Addr blk)
+    {
+        return frame != 0 && (frame >> 2) == blk;
+    }
+
+    /**
+     * Fill frame @p i with the block at @p addr in state @p s after
+     * a miss: displace the frame's current block (if any), then
+     * account the new block with the predictor.
+     */
+    DramCacheVictim fill(std::size_t i, Addr addr, CacheState s);
+
+    /**
+     * Transfer ownership of frame @p i's block to @p tenant. The
+     * owner lives in owners[i] as tenant+1 (0 = unowned).
+     */
+    void setOwner(std::size_t i, std::uint32_t tenant);
+
+    /** Frame @p i's block left the cache: drop its owner. */
+    void clearOwner(std::size_t i);
 
     EventQueue &eventq;
-    TagArray tags;
+    /**
+     * One word per frame: (block << 2) | CacheState, 0 = invalid.
+     * A direct-mapped cache needs no LRU stamp, and the tenant owner
+     * lives in the owners side vector, so a frame costs 8 bytes.
+     */
+    std::vector<std::uint64_t> frames;
+    std::uint64_t frameMask = 0;
+    bool framesArePow2 = false;
     MissPredictor predictor;
     const bool predictorEnabled;
     const bool exactPredictor;
@@ -234,7 +285,9 @@ class DramCache
 
     // Per-tenant attribution; all empty unless enabled. The counter
     // vectors are sized once at enable time (the StatGroup keeps raw
-    // pointers into them) and must never reallocate.
+    // pointers into them) and must never reallocate. owners has one
+    // entry per frame: the block's tenant+1, 0 = unowned.
+    std::vector<std::uint32_t> owners;
     std::vector<Counter> tenantHits;
     std::vector<Counter> tenantMisses;
     std::vector<std::uint64_t> tenantBlocks;

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -85,6 +87,155 @@ TEST(SparseDirectory, StorageBitsScaleWithEntries)
     SparseDirectory small(1024, 32, 4, &g, "s");
     SparseDirectory big(4096, 32, 4, &g, "b");
     EXPECT_EQ(big.storageBits(), 4 * small.storageBits());
+}
+
+/**
+ * Naive sparse-directory model: per set, the tracked blocks in
+ * recency order (front = least recently used) and their sharer
+ * vectors. Stamps are unique, so "LRU among the unlocked ways, else
+ * plain LRU" needs no way numbers.
+ */
+class SparseDirModel
+{
+  public:
+    SparseDirModel(std::uint64_t sets, std::uint32_t ways)
+        : sets(sets), ways(ways), lists(sets)
+    {}
+
+    bool
+    find(Addr blk)
+    {
+        std::vector<Addr> &l = lists[blk % sets];
+        auto it = std::find(l.begin(), l.end(), blk);
+        if (it == l.end())
+            return false;
+        l.erase(it);
+        l.push_back(blk);
+        return true;
+    }
+
+    /** Allocate @p blk; returns the recalled block or NoRecall. */
+    Addr
+    allocate(Addr blk, const std::set<Addr> &busy)
+    {
+        if (find(blk))
+            return NoRecall;
+        std::vector<Addr> &l = lists[blk % sets];
+        Addr recalled = NoRecall;
+        if (l.size() == ways) {
+            auto victim = std::find_if(l.begin(), l.end(), [&](Addr b) {
+                return busy.count(b) == 0;
+            });
+            if (victim == l.end())
+                victim = l.begin();
+            recalled = *victim;
+            l.erase(victim);
+            ++recalls;
+        }
+        l.push_back(blk);
+        return recalled;
+    }
+
+    void
+    erase(Addr blk)
+    {
+        std::vector<Addr> &l = lists[blk % sets];
+        l.erase(std::remove(l.begin(), l.end(), blk), l.end());
+    }
+
+    std::uint64_t
+    tracked() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &l : lists)
+            n += l.size();
+        return n;
+    }
+
+    static constexpr Addr NoRecall = ~Addr(0);
+    std::uint64_t recalls = 0;
+
+  private:
+    const std::uint64_t sets;
+    const std::uint32_t ways;
+    std::vector<std::vector<Addr>> lists;
+};
+
+TEST(SparseDirectory, MatchesReferenceLruModelUnderRandomTraffic)
+{
+    struct Geometry
+    {
+        std::uint64_t sets;
+        std::uint32_t ways;
+    };
+    // Power-of-two set counts take the mask path, the others the
+    // exact modulo.
+    for (const Geometry geo : {Geometry{8, 4}, Geometry{7, 4},
+                               Geometry{3, 32}, Geometry{4, 32}}) {
+        SCOPED_TRACE(testing::Message() << geo.sets << " sets x "
+                                        << geo.ways << " ways");
+        StatGroup g("t");
+        SparseDirectory dir(geo.sets * geo.ways, geo.ways, 8, &g, "d");
+        BlockingTable locks;
+        locks.init(&g, "bt");
+        SparseDirModel model(geo.sets, geo.ways);
+        std::set<Addr> busy;
+        // Each tracked block's sharer vector, to check that a recall
+        // hands back the victim's entry.
+        std::map<Addr, std::uint64_t> sharers;
+        Rng rng(0xD1 + geo.sets * 100 + geo.ways);
+        const std::uint64_t span = geo.sets * geo.ways * 3;
+
+        for (int step = 0; step < 20000; ++step) {
+            const Addr blk = rng.below(span);
+            const Addr addr = (blk << BlockShift) | rng.below(BlockBytes);
+            const std::uint64_t op = rng.below(100);
+            if (op < 55) {
+                DirRecall recall;
+                // Every other allocation runs unfiltered.
+                const bool filtered = step % 2 == 0;
+                DirEntry *e = dir.allocate(addr, recall,
+                                           filtered ? &locks : nullptr);
+                const Addr expect = model.allocate(
+                    blk, filtered ? busy : std::set<Addr>{});
+                ASSERT_NE(e, nullptr);
+                if (expect == SparseDirModel::NoRecall) {
+                    ASSERT_FALSE(recall.valid) << "step " << step;
+                } else {
+                    ASSERT_TRUE(recall.valid) << "step " << step;
+                    ASSERT_EQ(recall.addr, expect << BlockShift)
+                        << "step " << step;
+                    ASSERT_EQ(recall.entry.sharers, sharers[expect]);
+                    sharers.erase(expect);
+                }
+                if (!sharers.count(blk)) {
+                    ASSERT_EQ(e->sharers, 0u) << "fresh entry not reset";
+                    e->sharers = rng.next() | 1;
+                    sharers[blk] = e->sharers;
+                }
+            } else if (op < 80) {
+                DirEntry *e = dir.find(addr);
+                ASSERT_EQ(e != nullptr, model.find(blk))
+                    << "step " << step;
+                if (e) {
+                    ASSERT_EQ(e->sharers, sharers[blk]);
+                }
+            } else if (op < 90) {
+                dir.erase(addr);
+                model.erase(blk);
+                sharers.erase(blk);
+            } else if (busy.count(blk)) {
+                locks.release(addr);
+                busy.erase(blk);
+            } else {
+                locks.acquire(addr, [] {});
+                busy.insert(blk);
+            }
+            ASSERT_EQ(dir.trackedBlocks(), model.tracked());
+            ASSERT_EQ(dir.recallCount(), model.recalls);
+        }
+        EXPECT_GT(model.recalls, 1000u);
+    }
 }
 
 TEST(FullDirectory, NoRecallsEver)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "common/config.hh"
 #include "common/rng.hh"
 #include "common/sim_error.hh"
@@ -300,6 +303,205 @@ TEST(DramCache, TenantAttributionAndOccupancy)
     eq.run();
     EXPECT_EQ(dc.tenantOccupancy(0), 0u);
     EXPECT_EQ(dc.tenantOccupancy(1), 0u);
+}
+
+/**
+ * Naive DRAM-cache model: the resident block of every occupied frame
+ * in a std::map, plus the counters the cache and its MissMap keep.
+ */
+struct FrameModel
+{
+    struct Frame
+    {
+        Addr blk = 0;
+        bool dirty = false;
+        std::uint32_t owner = DramCache::NoTenant;
+    };
+
+    explicit FrameModel(std::uint64_t frames) : frames(frames) {}
+
+    const Frame *
+    holding(Addr blk) const
+    {
+        auto it = map.find(blk % frames);
+        return it != map.end() && it->second.blk == blk ? &it->second
+                                                         : nullptr;
+    }
+
+    /** Fill @p blk's frame after a miss; returns the victim. */
+    DramCacheVictim
+    fill(Addr blk, bool dirty, std::uint32_t tenant)
+    {
+        DramCacheVictim v;
+        auto it = map.find(blk % frames);
+        if (it != map.end()) {
+            v.valid = true;
+            v.addr = it->second.blk << BlockShift;
+            v.dirty = it->second.dirty;
+        }
+        map[blk % frames] = Frame{blk, dirty, tenant};
+        return v;
+    }
+
+    void
+    own(Addr blk, std::uint32_t tenant)
+    {
+        if (tenant != DramCache::NoTenant)
+            map[blk % frames].owner = tenant;
+    }
+
+    std::uint64_t
+    occupancy(std::uint32_t t) const
+    {
+        std::uint64_t n = 0;
+        for (const auto &[i, f] : map)
+            n += f.owner == t;
+        return n;
+    }
+
+    const std::uint64_t frames;
+    std::map<std::uint64_t, Frame> map;
+    std::uint64_t hits = 0, misses = 0, inserts = 0, writeUpdates = 0;
+    std::uint64_t invalidations = 0, queries = 0, predictedAbsent = 0;
+    /** Absent blocks the counting filter had to answer: it either
+     * short-circuits them or they probe and miss. */
+    std::uint64_t absentAsked = 0;
+};
+
+TEST(DramCache, FramesMatchReferenceModelUnderRandomTraffic)
+{
+    // 256 frames take the mask path, 229 the exact modulo; both run
+    // with the exact MissMap and with the counting filter.
+    for (const std::uint64_t frames : {256u, 229u}) {
+        for (const bool exact : {true, false}) {
+            SCOPED_TRACE(testing::Message() << frames << " frames, "
+                                            << (exact ? "exact" : "counting"));
+            EventQueue eq;
+            StatGroup g("t");
+            SystemConfig cfg = dcConfig(Design::FullDir, exact);
+            cfg.dramCacheBytes = frames * BlockBytes;
+            DramCache dc(eq, cfg, 0, &g);
+            dc.enableTenantTracking(3);
+            ASSERT_EQ(dc.capacityBlocks(), frames);
+            FrameModel model(frames);
+            const std::string pfx = "socket0.dram_cache";
+            Rng rng(0xDC + frames + exact);
+
+            for (int step = 0; step < 20000; ++step) {
+                const Addr blk = rng.below(frames * 4);
+                const Addr addr =
+                    (blk << BlockShift) | rng.below(BlockBytes);
+                const std::uint64_t pick = rng.below(4);
+                const std::uint32_t tenant =
+                    pick == 3 ? DramCache::NoTenant
+                              : static_cast<std::uint32_t>(pick);
+                const FrameModel::Frame *f = model.holding(blk);
+                const std::uint64_t op = rng.below(100);
+                if (op < 35) {
+                    const bool dirty = rng.below(2) == 0;
+                    const DramCacheVictim v =
+                        dc.insert(addr, dirty, tenant);
+                    ++model.inserts;
+                    DramCacheVictim mv;
+                    if (f) {
+                        model.map[blk % frames].dirty = dirty;
+                        model.own(blk, tenant);
+                    } else {
+                        mv = model.fill(blk, dirty, tenant);
+                    }
+                    ASSERT_EQ(v.valid, mv.valid) << "step " << step;
+                    ASSERT_EQ(v.addr, mv.addr) << "step " << step;
+                    ASSERT_EQ(v.dirty, mv.dirty) << "step " << step;
+                } else if (op < 50) {
+                    const DramCacheVictim v = dc.updateClean(addr, tenant);
+                    DramCacheVictim mv;
+                    if (f) {
+                        ++model.writeUpdates;
+                        model.map[blk % frames].dirty = false;
+                        model.own(blk, tenant);
+                    } else {
+                        ++model.inserts;
+                        mv = model.fill(blk, false, tenant);
+                    }
+                    ASSERT_EQ(v.valid, mv.valid) << "step " << step;
+                    ASSERT_EQ(v.addr, mv.addr) << "step " << step;
+                    ASSERT_EQ(v.dirty, mv.dirty) << "step " << step;
+                } else if (op < 65) {
+                    bool present = false, dirty = false;
+                    dc.invalidate(addr, [&](bool p, bool d) {
+                        present = p;
+                        dirty = d;
+                    });
+                    eq.run();
+                    ++model.queries;
+                    if (f) {
+                        ASSERT_TRUE(present) << "step " << step;
+                        ASSERT_EQ(dirty, f->dirty) << "step " << step;
+                        ++model.invalidations;
+                        model.map.erase(blk % frames);
+                    } else {
+                        ASSERT_FALSE(present) << "step " << step;
+                        ++model.absentAsked;
+                        model.predictedAbsent += exact;
+                    }
+                } else {
+                    const bool always = rng.below(4) == 0;
+                    DramCacheProbe r;
+                    dc.probe(addr, [&](DramCacheProbe p) { r = p; },
+                             always, tenant);
+                    eq.run();
+                    model.queries += !always;
+                    ASSERT_EQ(r.present, f != nullptr) << "step " << step;
+                    if (f) {
+                        ASSERT_EQ(r.dirty, f->dirty) << "step " << step;
+                        ++model.hits;
+                        model.own(blk, tenant);
+                    } else {
+                        ++model.misses;
+                        ++model.absentAsked;
+                        model.predictedAbsent += exact && !always;
+                    }
+                }
+
+                ASSERT_EQ(g.valueOf(pfx + ".hits"), model.hits);
+                ASSERT_EQ(g.valueOf(pfx + ".misses"), model.misses);
+                ASSERT_EQ(g.valueOf(pfx + ".inserts"), model.inserts);
+                ASSERT_EQ(g.valueOf(pfx + ".write_updates"),
+                          model.writeUpdates);
+                ASSERT_EQ(g.valueOf(pfx + ".invalidations"),
+                          model.invalidations);
+                ASSERT_EQ(g.valueOf(pfx + ".predictor.queries"),
+                          model.queries);
+                const std::uint64_t absent =
+                    g.valueOf(pfx + ".predictor.predicted_absent");
+                const std::uint64_t false_present =
+                    g.valueOf(pfx + ".predictor.false_present");
+                if (exact) {
+                    ASSERT_EQ(absent, model.predictedAbsent);
+                    ASSERT_EQ(false_present, 0u);
+                } else {
+                    ASSERT_EQ(absent + false_present, model.absentAsked);
+                }
+                for (std::uint32_t t = 0; t < 3; ++t) {
+                    ASSERT_EQ(dc.tenantOccupancy(t), model.occupancy(t))
+                        << "step " << step << " tenant " << t;
+                }
+                if (step % 101 == 0) {
+                    ASSERT_EQ(dc.validBlocks(), model.map.size());
+                    for (Addr b = 0; b < frames * 4; ++b) {
+                        const FrameModel::Frame *m = model.holding(b);
+                        ASSERT_EQ(dc.contains(b << BlockShift),
+                                  m != nullptr) << "block " << b;
+                        ASSERT_EQ(dc.isDirty(b << BlockShift),
+                                  m && m->dirty) << "block " << b;
+                    }
+                }
+            }
+            EXPECT_GT(g.valueOf(pfx + ".evictions_clean") +
+                          g.valueOf(pfx + ".evictions_dirty"),
+                      1000u);
+        }
+    }
 }
 
 } // namespace

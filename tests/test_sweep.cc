@@ -384,6 +384,26 @@ TEST(ResultTable, AllDesignGridMatchesCommittedArtifact)
     EXPECT_EQ(table.toCsv(), readGolden("all_designs.csv"));
 }
 
+TEST(ResultTable, OddGeometryGridMatchesCommittedArtifact)
+{
+    // At scale 48 the DRAM cache's frame count (349525) and the
+    // LLC's and sparse directory's set counts (341) are not powers
+    // of two, so all three take the exact-modulo path. The auto warm-up (a
+    // full scan for streamcluster) fills the DRAM caches, so the
+    // rows carry hits, conflict evictions and directory recalls.
+    exp::SweepGrid grid;
+    grid.workloads = {profileByName("facesim"),
+                      profileByName("streamcluster")};
+    grid.designs = {Design::Baseline, Design::Snoopy, Design::FullDir,
+                    Design::C3D, Design::C3DFullDir};
+    grid.sockets = {2, 4};
+    grid = exp::quickPreset(std::move(grid));
+    grid.scale = 48;
+    grid.warmupOps = 0;
+    const exp::ResultTable table = exp::SweepEngine(4).run(grid);
+    EXPECT_EQ(table.toCsv(), readGolden("odd_geometry.csv"));
+}
+
 TEST(ResultTable, CsvRoundTripsQuotedSpecials)
 {
     // Emitters quote fields containing commas, quotes, and

@@ -12,8 +12,14 @@
  *    overflow) variants alongside.
  *  - tag_array: ns per lookup, per allocate, and per always-evicting
  *    allocate.
+ *  - dram_cache: ns per probe (exact MissMap, about 40% of the
+ *    probes hit) and per always-evicting insert, on one socket's DRAM cache
+ *    at the perfbench geometry (scale 32: 512K frames).
+ *  - sparse_directory: ns per find (about half hit) in a full
+ *    2x/32-way directory at the same scale.
  *  - end_to_end: one fixed sweep row (facesim / C3D / 4 sockets),
- *    reporting wall time, simulated events, and host events/second.
+ *    reporting wall time, simulated events, host events/second and
+ *    the process's peak resident set (getrusage) after the row.
  *  - parallel_kernel: the same row run on the multi-queue kernel
  *    with 1 worker thread (the sequential differential oracle) and
  *    with one thread per socket (--parallel-kernel), reporting both
@@ -55,9 +61,14 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "cache/tag_array.hh"
+#include "coherence/directory.hh"
 #include "common/cli.hh"
+#include "common/config.hh"
 #include "common/rng.hh"
+#include "dramcache/dram_cache.hh"
 #include "exp/sweep_engine.hh"
 #include "exp/sweep_grid.hh"
 #include "sim/event_queue.hh"
@@ -139,6 +150,10 @@ struct Report
     double nsPerAllocate = 0;
     double nsPerAllocateEvict = 0;
 
+    double nsPerDramCacheProbe = 0;
+    double nsPerDramCacheInsertEvict = 0;
+    double nsPerDirFind = 0;
+
     std::string rowName;
     double rowWallSeconds = 0;
     std::uint64_t rowEvents = 0;
@@ -147,6 +162,7 @@ struct Report
     std::uint64_t rowHeapCallbackEvents = 0;
     std::uint64_t rowHeapAllocs = 0;
     double rowHeapAllocsPerRef = 0;
+    double peakRssMb = 0;
 
     unsigned parKernelThreads = 0;
     unsigned hostHwThreads = 0;
@@ -251,6 +267,93 @@ benchTagArray(Report &rep)
 }
 
 void
+benchDramCache(Report &rep)
+{
+    const int rounds = rep.quick ? 3 : 5;
+    const int ops = rep.quick ? 200000 : 2000000;
+    // One socket's DRAM cache at perfbench's scale 32: 32 MB, 512K
+    // frames, the exact MissMap.
+    c3d::SystemConfig cfg;
+    cfg.design = c3d::Design::C3D;
+    cfg.dramCacheBytes = cfg.dramCacheBytes / 32;
+    const std::uint64_t span = 2 * (cfg.dramCacheBytes / c3d::BlockBytes);
+
+    {
+        c3d::EventQueue eq;
+        c3d::StatGroup g("bench");
+        c3d::DramCache dc(eq, cfg, 0, &g);
+        c3d::Rng rng(3);
+        for (std::uint64_t i = 0; i < span; ++i)
+            dc.insert(rng.below(span) * c3d::BlockBytes, false);
+        // Small batches keep every completion inside the event
+        // queue's wheel, as the simulator's probes are.
+        constexpr int Batch = 64;
+        std::uint64_t hits = 0;
+        const double ips =
+            measureItemsPerSec(rounds, ops / Batch, Batch, [&] {
+                for (int i = 0; i < Batch; ++i) {
+                    dc.probe(rng.below(span) * c3d::BlockBytes,
+                             [&hits](c3d::DramCacheProbe r) {
+                                 hits += r.present;
+                             });
+                }
+                eq.run();
+            });
+        rep.nsPerDramCacheProbe = 1e9 / ips;
+        if (hits == 0)
+            std::fprintf(stderr, "warn: no DRAM-cache hits measured\n");
+    }
+    {
+        c3d::EventQueue eq;
+        c3d::StatGroup g("bench");
+        c3d::DramCache dc(eq, cfg, 0, &g);
+        c3d::Addr next = 0;
+        for (std::uint64_t i = 0; i < dc.capacityBlocks(); ++i)
+            dc.insert((next++) * c3d::BlockBytes, false);
+        const double ips = measureItemsPerSec(rounds, 1, ops, [&] {
+            for (int i = 0; i < ops; ++i)
+                dc.insert((next++) * c3d::BlockBytes, false);
+        });
+        rep.nsPerDramCacheInsertEvict = 1e9 / ips;
+    }
+}
+
+void
+benchSparseDirectory(Report &rep)
+{
+    const int rounds = rep.quick ? 3 : 5;
+    const int ops = rep.quick ? 200000 : 2000000;
+    // Table II's 2x/32-way directory over a scale-32 LLC (512 KB).
+    c3d::SystemConfig cfg;
+    const std::uint64_t entries =
+        (cfg.llcBytes / 32 / c3d::BlockBytes) * cfg.sparseDirFactor;
+    c3d::StatGroup g("bench");
+    c3d::SparseDirectory dir(entries, cfg.sparseDirWays, 4, &g, "d");
+    c3d::DirRecall recall;
+    for (std::uint64_t b = 0; b < entries; ++b)
+        dir.allocate(b * c3d::BlockBytes, recall);
+    c3d::Rng rng(4);
+    std::uint64_t hits = 0;
+    const double ips = measureItemsPerSec(rounds, 1, ops, [&] {
+        for (int i = 0; i < ops; ++i)
+            hits += dir.find(rng.below(2 * entries) * c3d::BlockBytes) !=
+                nullptr;
+    });
+    rep.nsPerDirFind = 1e9 / ips;
+    if (hits == 0)
+        std::fprintf(stderr, "warn: no directory hits measured\n");
+}
+
+/** Peak resident set of this process so far, in MB. */
+double
+peakRssMb()
+{
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0; // KB on Linux
+}
+
+void
 benchEndToEnd(Report &rep)
 {
     c3d::exp::SweepGrid grid;
@@ -286,6 +389,9 @@ benchEndToEnd(Report &rep)
     rep.rowIpc = res.ipc();
     rep.rowHeapCallbackEvents =
         runner.machine().totalHeapCallbackEvents();
+    // The process high-water mark: only the small microbenches above
+    // ran before this row.
+    rep.peakRssMb = peakRssMb();
 }
 
 void
@@ -457,6 +563,15 @@ writeJson(std::FILE *f, const Report &rep)
                  "%.2f\n",
                  prePrGbenchNsPerLookup);
     std::fprintf(f, "  },\n");
+    std::fprintf(f, "  \"dram_cache\": {\n");
+    std::fprintf(f, "    \"ns_per_probe\": %.2f,\n",
+                 rep.nsPerDramCacheProbe);
+    std::fprintf(f, "    \"ns_per_insert_evict\": %.2f\n",
+                 rep.nsPerDramCacheInsertEvict);
+    std::fprintf(f, "  },\n");
+    std::fprintf(f, "  \"sparse_directory\": {\n");
+    std::fprintf(f, "    \"ns_per_find\": %.2f\n", rep.nsPerDirFind);
+    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"end_to_end\": {\n");
     std::fprintf(f, "    \"row\": \"%s\",\n", rep.rowName.c_str());
     std::fprintf(f, "    \"wall_seconds\": %.3f,\n",
@@ -471,8 +586,9 @@ writeJson(std::FILE *f, const Report &rep)
                      rep.rowHeapCallbackEvents));
     std::fprintf(f, "    \"heap_allocs\": %llu,\n",
                  static_cast<unsigned long long>(rep.rowHeapAllocs));
-    std::fprintf(f, "    \"heap_allocs_per_ref\": %.4f\n",
+    std::fprintf(f, "    \"heap_allocs_per_ref\": %.4f,\n",
                  rep.rowHeapAllocsPerRef);
+    std::fprintf(f, "    \"peak_rss_mb\": %.1f\n", rep.peakRssMb);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"parallel_kernel\": {\n");
     std::fprintf(f, "    \"row\": \"%s\",\n", rep.rowName.c_str());
@@ -531,7 +647,11 @@ main(int argc, char **argv)
 
     benchEventQueues(rep);
     benchTagArray(rep);
+    // Before the DRAM-cache and directory benches, whose structures
+    // would otherwise set the row's peak_rss_mb.
     benchEndToEnd(rep);
+    benchDramCache(rep);
+    benchSparseDirectory(rep);
     benchParallelKernel(rep);
     benchRobustness(rep);
 
