@@ -151,6 +151,7 @@ FlagTable::parse(const std::vector<std::string> &args)
             parseError = "unknown flag '--" + key + "'";
             return false;
         }
+        entry->seen = true;
         std::string error;
         if (!entry->set(value, error)) {
             parseError = !error.empty()
@@ -160,6 +161,15 @@ FlagTable::parse(const std::vector<std::string> &args)
         }
     }
     return true;
+}
+
+bool
+FlagTable::given(const std::string &name) const
+{
+    return std::any_of(entries.begin(), entries.end(),
+                       [&name](const Entry &e) {
+                           return e.seen && e.name == name;
+                       });
 }
 
 std::optional<int>

@@ -161,6 +161,8 @@ class FlagTable
     int usageError(const char *tool, const std::string &message) const;
 
     bool helpRequested() const { return helpSeen; }
+    /** Whether `--name` appeared in the parsed arguments. */
+    bool given(const std::string &name) const;
     const std::string &error() const { return parseError; }
 
     /** The generated `--help` text. */
@@ -174,6 +176,7 @@ class FlagTable
         std::string arg;     //!< value placeholder; empty for a switch
         std::string help;
         Setter set;
+        bool seen = false; //!< appeared in the parsed arguments
     };
 
     /** number()'s setter: range check, then @p store. */

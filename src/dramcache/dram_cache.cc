@@ -1,5 +1,7 @@
 #include "dramcache/dram_cache.hh"
 
+#include <string>
+
 namespace c3d
 {
 
@@ -47,9 +49,6 @@ DramCache::DramCache(EventQueue &eq, const SystemConfig &cfg,
                         "clean blocks displaced");
     evictionsDirty.init(stats, prefix + ".evictions_dirty",
                         "dirty blocks displaced (writeback needed)");
-
-    statsGroup = stats;
-    statPrefix = prefix;
 }
 
 std::uint64_t
@@ -60,57 +59,6 @@ DramCache::validBlocks() const
         if (f != 0)
             ++n;
     return n;
-}
-
-void
-DramCache::enableTenantTracking(std::uint32_t tenants)
-{
-    c3d_assert(owners.empty(), "tenant tracking enabled twice");
-    owners.assign(frames.size(), 0);
-    tenantBlocks.assign(tenants, 0);
-    tenantHits = std::vector<Counter>(tenants);
-    tenantMisses = std::vector<Counter>(tenants);
-    for (std::uint32_t t = 0; t < tenants; ++t) {
-        const std::string tp =
-            statPrefix + ".tenant" + std::to_string(t);
-        tenantHits[t].init(statsGroup, tp + ".hits",
-                           "tenant probes that found the block");
-        tenantMisses[t].init(statsGroup, tp + ".misses",
-                             "tenant probes that missed");
-    }
-}
-
-void
-DramCache::countTenant(std::uint32_t tenant, bool hit)
-{
-    if (tenant == NoTenant || owners.empty())
-        return;
-    if (hit)
-        ++tenantHits[tenant];
-    else
-        ++tenantMisses[tenant];
-}
-
-void
-DramCache::setOwner(std::size_t i, std::uint32_t tenant)
-{
-    if (tenant == NoTenant || owners.empty())
-        return;
-    const std::uint32_t tag = tenant + 1;
-    if (owners[i] == tag)
-        return;
-    clearOwner(i);
-    owners[i] = tag;
-    ++tenantBlocks[tenant];
-}
-
-void
-DramCache::clearOwner(std::size_t i)
-{
-    if (owners.empty() || !owners[i])
-        return;
-    --tenantBlocks[owners[i] - 1];
-    owners[i] = 0;
 }
 
 Tick
@@ -133,12 +81,11 @@ DramCache::predictPresent(Addr addr, bool present)
 }
 
 DramCacheProbe
-DramCache::lookup(Addr addr, bool always_access, std::uint32_t tenant)
+DramCache::lookup(Addr addr, bool always_access)
 {
     const Tick now = eventq.now();
     const Addr blk = blockNumber(addr);
-    const std::size_t i = frameOf(blk);
-    const std::uint64_t f = frames[i];
+    const std::uint64_t f = frames[frameOf(blk)];
     const bool present = holds(f, blk);
 
     if (!always_access && predictorEnabled &&
@@ -147,7 +94,6 @@ DramCache::lookup(Addr addr, bool always_access, std::uint32_t tenant)
         // counting filter never reports absent for a present block,
         // so this path cannot hide data.
         ++misses;
-        countTenant(tenant, false);
         DramCacheProbe res;
         res.readyAt = now + predictorLatency;
         return res;
@@ -160,13 +106,10 @@ DramCache::lookup(Addr addr, bool always_access, std::uint32_t tenant)
     DramCacheProbe res;
     if (present) {
         ++hits;
-        countTenant(tenant, true);
-        setOwner(i, tenant);
         res.present = true;
         res.dirty = stateOf(f) == CacheState::Modified;
     } else {
         ++misses;
-        countTenant(tenant, false);
         if (predictorEnabled && !exactPredictor)
             predictor.recordFalsePresent();
     }
@@ -188,7 +131,6 @@ DramCache::fill(std::size_t i, Addr addr, CacheState s)
         else
             ++evictionsClean;
         predictor.onRemove(victim.addr);
-        clearOwner(i);
     }
     predictor.onInsert(addr);
     frames[i] = pack(blockNumber(addr), s);
@@ -196,7 +138,7 @@ DramCache::fill(std::size_t i, Addr addr, CacheState s)
 }
 
 DramCacheVictim
-DramCache::insert(Addr addr, bool dirty, std::uint32_t tenant)
+DramCache::insert(Addr addr, bool dirty)
 {
     c3d_assert(!dirty || allowDirty,
                "dirty insert into a clean DRAM cache");
@@ -210,15 +152,11 @@ DramCache::insert(Addr addr, bool dirty, std::uint32_t tenant)
     const Addr blk = blockNumber(addr);
     const std::size_t i = frameOf(blk);
 
-    DramCacheVictim victim;
-    if (holds(frames[i], blk))
+    if (holds(frames[i], blk)) {
         frames[i] = pack(blk, new_state);
-    else
-        victim = fill(i, addr, new_state);
-    // A filled frame starts unowned, a present block keeps its owner
-    // unless the insert names one.
-    setOwner(i, tenant);
-    return victim;
+        return DramCacheVictim{};
+    }
+    return fill(i, addr, new_state);
 }
 
 DramCacheProbe
@@ -242,7 +180,6 @@ DramCache::drop(Addr addr)
     if (present) {
         res.present = true;
         res.dirty = stateOf(f) == CacheState::Modified;
-        clearOwner(i);
         frames[i] = 0;
         predictor.onRemove(addr);
         ++invalidations;
@@ -256,7 +193,7 @@ DramCache::drop(Addr addr)
 }
 
 DramCacheVictim
-DramCache::updateClean(Addr addr, std::uint32_t tenant)
+DramCache::updateClean(Addr addr)
 {
     chargeChannel(addr, eventq.now() + accessLatency);
 
@@ -265,14 +202,11 @@ DramCache::updateClean(Addr addr, std::uint32_t tenant)
     if (holds(frames[i], blk)) {
         ++writeUpdates;
         frames[i] = pack(blk, CacheState::Shared);
-        setOwner(i, tenant);
         return DramCacheVictim{};
     }
 
     ++inserts;
-    const DramCacheVictim victim = fill(i, addr, CacheState::Shared);
-    setOwner(i, tenant);
-    return victim;
+    return fill(i, addr, CacheState::Shared);
 }
 
 } // namespace c3d

@@ -18,7 +18,6 @@
 #define C3DSIM_DRAMCACHE_DRAM_CACHE_HH
 
 #include <cstdint>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -55,20 +54,8 @@ struct DramCacheVictim
 class DramCache
 {
   public:
-    /** Requester tag for accesses with no tenant attribution. */
-    static constexpr std::uint32_t NoTenant = 0xFFFFFFFFu;
-
     DramCache(EventQueue &eq, const SystemConfig &cfg, SocketId socket,
               StatGroup *stats);
-
-    /**
-     * Turn on per-tenant attribution (composed workloads). Registers
-     * per-tenant hit/miss counters with the stat group (so the
-     * warm-up reset covers them) and starts exact per-tenant block
-     * occupancy bookkeeping. Runs without tenants never call this,
-     * so plain rows stay byte-identical.
-     */
-    void enableTenantTracking(std::uint32_t tenants);
 
     /**
      * Probe for the block at @p addr (read path or snoop).
@@ -80,17 +67,12 @@ class DramCache
      * @param always_access bypass the predictor short-circuit and pay
      *        the full DRAM access even for absent blocks (remote
      *        snoop probes, §III-A: the DRAM cache must be searched).
-     * @param tenant requester's tenant index (NoTenant: untracked).
-     *        Counted against the tenant's hit/miss counters exactly
-     *        where the cache's own hit/miss counters tick, and a hit
-     *        transfers block ownership to the tenant.
      */
     template <typename F>
     void
-    probe(Addr addr, F &&done, bool always_access = false,
-          std::uint32_t tenant = NoTenant)
+    probe(Addr addr, F &&done, bool always_access = false)
     {
-        const DramCacheProbe res = lookup(addr, always_access, tenant);
+        const DramCacheProbe res = lookup(addr, always_access);
         scheduleInline(res.readyAt,
                        [done = std::forward<F>(done), res]() mutable {
                            done(res);
@@ -102,12 +84,9 @@ class DramCache
      * If the block is already present its state is updated in place.
      * The write occupies a DRAM channel but completes asynchronously
      * (off the critical path).
-     * @param tenant owning tenant of the inserted block (NoTenant:
-     *        unowned until a tracked probe hits it).
      * @return the displaced victim, if any.
      */
-    DramCacheVictim insert(Addr addr, bool dirty,
-                           std::uint32_t tenant = NoTenant);
+    DramCacheVictim insert(Addr addr, bool dirty);
 
     /**
      * Invalidate @p addr if present. @p done receives
@@ -133,8 +112,7 @@ class DramCache
      * write-through path). Inserts if absent. Off the critical path.
      * @return the displaced victim, if any.
      */
-    DramCacheVictim updateClean(Addr addr,
-                                std::uint32_t tenant = NoTenant);
+    DramCacheVictim updateClean(Addr addr);
 
     /** Structural presence check with no timing (tests/inspection). */
     bool
@@ -157,27 +135,9 @@ class DramCache
     std::uint64_t hitCount() const { return hits.value(); }
     std::uint64_t missCount() const { return misses.value(); }
 
-    // ---- per-tenant attribution (enableTenantTracking) -----------------
-    bool tenantTrackingEnabled() const { return !owners.empty(); }
-    /** Blocks currently owned by tenant @p t (live gauge; unlike the
-     * hit/miss counters it is NOT reset at the warm-up boundary). */
-    std::uint64_t tenantOccupancy(std::uint32_t t) const
-    {
-        return tenantBlocks[t];
-    }
-    std::uint64_t tenantHitCount(std::uint32_t t) const
-    {
-        return tenantHits[t].value();
-    }
-    std::uint64_t tenantMissCount(std::uint32_t t) const
-    {
-        return tenantMisses[t].value();
-    }
-
   private:
     /** probe()'s lookup: counters, predictor, channel, outcome. */
-    DramCacheProbe lookup(Addr addr, bool always_access,
-                          std::uint32_t tenant);
+    DramCacheProbe lookup(Addr addr, bool always_access);
 
     /** invalidate()'s state change; readyAt is the completion tick. */
     DramCacheProbe drop(Addr addr);
@@ -203,9 +163,6 @@ class DramCache
      * its region counters.
      */
     bool predictPresent(Addr addr, bool present);
-
-    /** Tick tenant @p t's hit or miss counter (NoTenant: no-op). */
-    void countTenant(std::uint32_t tenant, bool hit);
 
     /** Frame index of block @p blk (direct-mapped). */
     std::size_t
@@ -242,20 +199,11 @@ class DramCache
      */
     DramCacheVictim fill(std::size_t i, Addr addr, CacheState s);
 
-    /**
-     * Transfer ownership of frame @p i's block to @p tenant. The
-     * owner lives in owners[i] as tenant+1 (0 = unowned).
-     */
-    void setOwner(std::size_t i, std::uint32_t tenant);
-
-    /** Frame @p i's block left the cache: drop its owner. */
-    void clearOwner(std::size_t i);
-
     EventQueue &eventq;
     /**
      * One word per frame: (block << 2) | CacheState, 0 = invalid.
-     * A direct-mapped cache needs no LRU stamp, and the tenant owner
-     * lives in the owners side vector, so a frame costs 8 bytes.
+     * A direct-mapped cache needs no LRU stamp, so a frame costs
+     * 8 bytes.
      */
     std::vector<std::uint64_t> frames;
     std::uint64_t frameMask = 0;
@@ -278,19 +226,6 @@ class DramCache
     Counter invalidations;
     Counter evictionsClean;
     Counter evictionsDirty;
-
-    /** For post-construction tenant counter registration. */
-    StatGroup *statsGroup = nullptr;
-    std::string statPrefix;
-
-    // Per-tenant attribution; all empty unless enabled. The counter
-    // vectors are sized once at enable time (the StatGroup keeps raw
-    // pointers into them) and must never reallocate. owners has one
-    // entry per frame: the block's tenant+1, 0 = unowned.
-    std::vector<std::uint32_t> owners;
-    std::vector<Counter> tenantHits;
-    std::vector<Counter> tenantMisses;
-    std::vector<std::uint64_t> tenantBlocks;
 };
 
 } // namespace c3d

@@ -21,6 +21,16 @@ namespace
  */
 const std::string FixedProtocol = "mesi";
 
+/**
+ * The trailing CSV column, always empty. No run attributes its
+ * references to tenants, so no row carries a breakdown; the column
+ * stays for c3d-sweep/v2 byte identity, and readers refuse rows
+ * that fill it (CSV) or carry the member (JSON, journals).
+ */
+const char *const TenantsCol = "tenants";
+const char *const UnsupportedTenants =
+    "unsupported tenants (no row carries a per-tenant breakdown)";
+
 /** Serialized columns, in order. Keep in sync with docs/sweeps.md. */
 const char *const StringCols[] = {"workload", "variant", "design",
                                   "protocol", "mapping"};
@@ -145,134 +155,6 @@ validIpcToken(const std::string &s)
     return end && *end == '\0';
 }
 
-/**
- * One tenant's QoS metrics as a JSON object. Tenant ipc is derived
- * (like the row's) from the tenant's instructions and the row's
- * measured ticks, with the same deterministic formatting.
- */
-std::string
-tenantToJson(const TenantMetrics &tm, Tick measured_ticks)
-{
-    std::string out = "{\"name\": \"" + jsonEscape(tm.name) + "\"";
-    char buf[64];
-    const struct { const char *key; std::uint64_t value; } ints[] = {
-        {"instructions", tm.instructions},
-        {"loads", tm.loads},
-        {"stores", tm.stores},
-        {"dram_cache_hits", tm.dramCacheHits},
-        {"dram_cache_misses", tm.dramCacheMisses},
-        {"dram_cache_occupancy", tm.dramCacheOccupancy},
-        {"lat_p50", tm.latP50},
-        {"lat_p95", tm.latP95},
-        {"lat_p99", tm.latP99}};
-    for (const auto &f : ints) {
-        std::snprintf(buf, sizeof(buf), ", \"%s\": %" PRIu64, f.key,
-                      f.value);
-        out += buf;
-    }
-    out += ", \"ipc\": " + formatIpc(tm.ipc(measured_ticks));
-    out += "}";
-    return out;
-}
-
-/** The row's tenants as a JSON array (empty rows never call this). */
-std::string
-tenantsToJson(const ResultRow &r)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < r.metrics.tenants.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += tenantToJson(r.metrics.tenants[i],
-                            r.metrics.measuredTicks);
-    }
-    out += "]";
-    return out;
-}
-
-bool
-tenantFromJson(const JsonValue &tv, TenantMetrics &out,
-               std::string &error)
-{
-    if (!tv.isObject()) {
-        error = "tenant entry is not an object";
-        return false;
-    }
-    TenantMetrics tm;
-    const JsonValue *name = tv.member("name");
-    if (!name || !name->isString()) {
-        error = "tenant missing string field 'name'";
-        return false;
-    }
-    tm.name = name->string();
-    const struct { const char *key; std::uint64_t *slot; } ints[] = {
-        {"instructions", &tm.instructions},
-        {"loads", &tm.loads},
-        {"stores", &tm.stores},
-        {"dram_cache_hits", &tm.dramCacheHits},
-        {"dram_cache_misses", &tm.dramCacheMisses},
-        {"dram_cache_occupancy", &tm.dramCacheOccupancy},
-        {"lat_p50", &tm.latP50},
-        {"lat_p95", &tm.latP95},
-        {"lat_p99", &tm.latP99}};
-    for (const auto &f : ints) {
-        const JsonValue *v = tv.member(f.key);
-        if (!v || !v->isNumber()) {
-            error = std::string("tenant missing numeric field '") +
-                f.key + "'";
-            return false;
-        }
-        *f.slot = v->u64();
-    }
-    // Tenant ipc is recomputed on emit, as the row's is.
-    const JsonValue *ipc = tv.member("ipc");
-    if (!ipc || !ipc->isNumber()) {
-        error = "tenant missing numeric field 'ipc'";
-        return false;
-    }
-    out = std::move(tm);
-    return true;
-}
-
-bool
-tenantsFromJson(const JsonValue &arr, std::vector<TenantMetrics> &out,
-                std::string &error)
-{
-    if (!arr.isArray()) {
-        error = "'tenants' is not an array";
-        return false;
-    }
-    std::vector<TenantMetrics> tenants;
-    for (const JsonValue &tv : arr.array()) {
-        TenantMetrics tm;
-        if (!tenantFromJson(tv, tm, error))
-            return false;
-        tenants.push_back(std::move(tm));
-    }
-    out = std::move(tenants);
-    return true;
-}
-
-bool
-sameTenants(const std::vector<TenantMetrics> &a,
-            const std::vector<TenantMetrics> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const TenantMetrics &x = a[i], &y = b[i];
-        if (x.name != y.name || x.instructions != y.instructions ||
-            x.loads != y.loads || x.stores != y.stores ||
-            x.dramCacheHits != y.dramCacheHits ||
-            x.dramCacheMisses != y.dramCacheMisses ||
-            x.dramCacheOccupancy != y.dramCacheOccupancy ||
-            x.latP50 != y.latP50 || x.latP95 != y.latP95 ||
-            x.latP99 != y.latP99)
-            return false;
-    }
-    return true;
-}
-
 /** CSV-quote a field only when it needs it. */
 std::string
 csvField(const std::string &s)
@@ -367,7 +249,7 @@ ResultRow::sameAs(const ResultRow &o) const
         if (intFieldValue(*this, i) != intFieldValue(o, i))
             return false;
     }
-    return sameTenants(metrics.tenants, o.metrics.tenants);
+    return true;
 }
 
 std::string
@@ -462,11 +344,6 @@ ResultTable::rowToJson(const ResultRow &r)
         out += buf;
     }
     out += ", \"ipc\": " + formatIpc(r.metrics.ipc());
-    // Composed rows carry a per-tenant QoS breakdown; plain rows
-    // omit the member entirely, keeping their serialization
-    // byte-identical to pre-composition output.
-    if (!r.metrics.tenants.empty())
-        out += ", \"tenants\": " + tenantsToJson(r);
     out += "}";
     return out;
 }
@@ -506,10 +383,9 @@ ResultTable::rowFromJson(const JsonValue &rv, ResultRow &out,
         error = "row missing numeric field 'ipc'";
         return false;
     }
-    // Optional per-tenant breakdown (composed-workload rows only).
-    if (const JsonValue *tenants = rv.member("tenants")) {
-        if (!tenantsFromJson(*tenants, row.metrics.tenants, error))
-            return false;
+    if (rv.member(TenantsCol)) {
+        error = UnsupportedTenants;
+        return false;
     }
     out = std::move(row);
     return true;
@@ -543,7 +419,9 @@ ResultTable::toCsv() const
         out += ',';
         out += IntCols[c];
     }
-    out += ",ipc,tenants\n";
+    out += ",ipc,";
+    out += TenantsCol;
+    out += '\n';
     for (const ResultRow &r : tableRows) {
         for (std::size_t c = 0; c < NumStringCols; ++c) {
             if (c)
@@ -557,12 +435,7 @@ ResultTable::toCsv() const
             out += buf;
         }
         out += ',' + formatIpc(r.metrics.ipc());
-        // The tenants column holds the same JSON array the JSON
-        // emitter produces, CSV-quoted; plain rows leave it empty.
-        out += ',';
-        if (!r.metrics.tenants.empty())
-            out += csvField(tenantsToJson(r));
-        out += '\n';
+        out += ",\n"; // the empty tenants field
     }
     return out;
 }
@@ -638,7 +511,7 @@ ResultTable::fromCsv(const std::string &text, ResultTable &out,
             header[expected_cols - 2] + "'";
         return false;
     }
-    if (header.back() != "tenants") {
+    if (header.back() != TenantsCol) {
         error = "unexpected csv header '" + header.back() + "'";
         return false;
     }
@@ -685,17 +558,10 @@ ResultTable::fromCsv(const std::string &text, ResultTable &out,
             error = "bad ipc in csv row " + std::to_string(l);
             return false;
         }
-        // Trailing tenants column: empty for plain rows, otherwise
-        // the JSON array tenantsToJson emitted.
         if (!fields.back().empty()) {
-            JsonValue tenants;
-            if (!parseJson(fields.back(), tenants, error) ||
-                !tenantsFromJson(tenants, row.metrics.tenants,
-                                 error)) {
-                error = "bad tenants in csv row " +
-                    std::to_string(l) + " (" + error + ")";
-                return false;
-            }
+            error = std::string(UnsupportedTenants) + " in csv row " +
+                std::to_string(l);
+            return false;
         }
         table.appendRow(std::move(row));
     }

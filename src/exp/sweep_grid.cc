@@ -43,17 +43,6 @@ gridFingerprint(const std::vector<RunSpec> &specs)
             for (const char *p = tb; *p; ++p)
                 mix(*p);
         }
-        // Compositions fold their semantic hash the same way: it
-        // covers the manifest's stream-shaping fields plus every
-        // member trace's content hash, so editing the manifest OR
-        // any member refuses resume/merge.
-        if (spec.profile.isComposition()) {
-            char cb[36];
-            std::snprintf(cb, sizeof(cb), "|compose:%016" PRIx64,
-                          spec.profile.compositionHash);
-            for (const char *p = cb; *p; ++p)
-                mix(*p);
-        }
         mix('\n');
     }
     char buf[24];

@@ -3,10 +3,8 @@
 #include <atomic>
 #include <thread>
 
-#include "common/log.hh"
 #include "sim/cell_executor.hh"
 #include "trace/trace_file.hh"
-#include "workload/composed_workload.hh"
 
 namespace c3d
 {
@@ -43,44 +41,6 @@ Runner::Runner(const SystemConfig &cfg, Workload &wl,
 }
 
 Runner::~Runner() = default;
-
-void
-Runner::enableTenantTracking(std::vector<std::int32_t> core_tenant,
-                             std::vector<std::string> names)
-{
-    c3d_assert(tenantSets.empty(), "tenant tracking enabled twice");
-    coreTenant = std::move(core_tenant);
-    tenantNames = std::move(names);
-
-    // Size the set vector once and register afterwards: the StatGroup
-    // stores raw pointers into it, so it must never reallocate.
-    const auto n = static_cast<std::uint32_t>(tenantNames.size());
-    tenantSets = std::vector<TenantStatSet>(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        tenantSets[i].init(&m->stats(), i);
-
-    const SystemConfig &cfg = m->config();
-    for (SocketId s = 0; s < cfg.numSockets; ++s) {
-        std::vector<TenantStatSet *> by_core(cfg.coresPerSocket,
-                                             nullptr);
-        std::vector<std::uint32_t> by_idx(cfg.coresPerSocket,
-                                          DramCache::NoTenant);
-        for (std::uint32_t l = 0; l < cfg.coresPerSocket; ++l) {
-            const std::size_t g =
-                static_cast<std::size_t>(s) * cfg.coresPerSocket + l;
-            if (g < coreTenant.size() && coreTenant[g] >= 0) {
-                by_core[l] = &tenantSets[static_cast<std::size_t>(
-                    coreTenant[g])];
-                by_idx[l] =
-                    static_cast<std::uint32_t>(coreTenant[g]);
-            }
-        }
-        m->socket(s).setTenantStats(std::move(by_core),
-                                    std::move(by_idx));
-        if (DramCache *dc = m->socket(s).dramCache())
-            dc->enableTenantTracking(n);
-    }
-}
 
 RunResult
 Runner::run(std::uint64_t warmup_ops, std::uint64_t measure_ops)
@@ -186,45 +146,6 @@ Runner::collectResult(Tick measured_ticks)
         ? sg.valueOf("proto.broadcasts") : 0;
     r.broadcastsElided = sg.has("proto.broadcasts_elided")
         ? sg.valueOf("proto.broadcasts_elided") : 0;
-
-    if (!tenantSets.empty()) {
-        r.tenants.resize(tenantSets.size());
-        for (std::size_t i = 0; i < tenantSets.size(); ++i) {
-            const TenantStatSet &ts = tenantSets[i];
-            TenantMetrics &tm = r.tenants[i];
-            tm.name = tenantNames[i];
-            tm.loads = ts.loads.value();
-            tm.stores = ts.stores.value();
-            tm.latP50 = ts.memLatency.percentile(50);
-            tm.latP95 = ts.memLatency.percentile(95);
-            tm.latP99 = ts.memLatency.percentile(99);
-        }
-        // DRAM-cache attribution lives in the caches themselves;
-        // fold the per-socket tenant counters and the occupancy
-        // gauge machine-wide.
-        const SystemConfig &cfg = m->config();
-        for (SocketId s = 0; s < cfg.numSockets; ++s) {
-            const DramCache *dc = m->socket(s).dramCache();
-            if (!dc || !dc->tenantTrackingEnabled())
-                continue;
-            for (std::size_t i = 0; i < r.tenants.size(); ++i) {
-                const auto t = static_cast<std::uint32_t>(i);
-                r.tenants[i].dramCacheHits += dc->tenantHitCount(t);
-                r.tenants[i].dramCacheMisses +=
-                    dc->tenantMissCount(t);
-                r.tenants[i].dramCacheOccupancy +=
-                    dc->tenantOccupancy(t);
-            }
-        }
-        // Instructions are per-core state on the TraceCpus; fold
-        // them per tenant via the core map.
-        for (std::size_t c = 0;
-             c < coreTenant.size() && c < cpus.size(); ++c) {
-            if (coreTenant[c] >= 0)
-                r.tenants[static_cast<std::size_t>(coreTenant[c])]
-                    .instructions += cpus[c]->instructions();
-        }
-    }
     return r;
 }
 
@@ -278,36 +199,6 @@ runWorkload(const SystemConfig &cfg,
     // Passing the profile's content hash enables the reader's scan
     // memo across grid points and makes a trace modified after grid
     // expansion fail loudly instead of replaying different bytes.
-    // Composition profiles reload their manifest (members unscanned:
-    // the ComposedWorkload's expected-hash reader opens revalidate
-    // them through the scan memo) and re-derive the semantic hash so
-    // a manifest edited after grid expansion fails loudly.
-    if (scaled_profile.isComposition()) {
-        CompositionSpec spec;
-        std::string error;
-        if (!loadComposition(scaled_profile.compositionPath, spec,
-                             error, /*validate_members=*/false))
-            c3d_fatal("%s", error.c_str());
-        if (compositionHashOf(spec) !=
-            scaled_profile.compositionHash) {
-            c3d_fatal("'%s' changed since the grid was built "
-                      "(composition hash %016llx, expected %016llx)",
-                      scaled_profile.compositionPath.c_str(),
-                      static_cast<unsigned long long>(
-                          compositionHashOf(spec)),
-                      static_cast<unsigned long long>(
-                          scaled_profile.compositionHash));
-        }
-        auto box = std::make_shared<GuardedRun>();
-        auto wl = std::make_unique<ComposedWorkload>(
-            spec, scaled_profile.seed, cfg.totalCores());
-        box->runner = std::make_unique<Runner>(cfg, *wl, opts);
-        box->runner->enableTenantTracking(wl->coreTenants(),
-                                          wl->tenantNames());
-        box->wl = std::move(wl);
-        return runGuarded(std::move(box), opts, warmup_ops,
-                          measure_ops);
-    }
     auto box = std::make_shared<GuardedRun>();
     if (scaled_profile.isTrace()) {
         box->wl = std::make_unique<TraceFileWorkload>(

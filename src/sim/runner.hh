@@ -13,45 +13,12 @@
 #include <memory>
 #include <vector>
 
-#include <string>
-
 #include "cpu/trace_cpu.hh"
 #include "sim/machine.hh"
 #include "trace/workload.hh"
-#include "workload/tenant_stats.hh"
 
 namespace c3d
 {
-
-/**
- * Per-tenant QoS metrics of one composed run (measurement window).
- * Latency percentiles come from the tenant's memory-latency
- * histogram -- power-of-two bucket resolution, integer arithmetic,
- * bit-identical across platforms (Histogram::percentile).
- */
-struct TenantMetrics
-{
-    std::string name; //!< "t<idx>:<trace-basename>@<hash8>"
-    std::uint64_t instructions = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t dramCacheHits = 0;
-    std::uint64_t dramCacheMisses = 0;
-    /** DRAM-cache blocks owned by the tenant at window close (live
-     * gauge, not reset at the warm-up boundary). */
-    std::uint64_t dramCacheOccupancy = 0;
-    std::uint64_t latP50 = 0; //!< p50 memory latency (ticks)
-    std::uint64_t latP95 = 0;
-    std::uint64_t latP99 = 0;
-
-    /** Tenant IPC over the machine's measurement window. */
-    double
-    ipc(Tick measured_ticks) const
-    {
-        return measured_ticks
-            ? static_cast<double>(instructions) / measured_ticks : 0.0;
-    }
-};
 
 /** Metrics of one simulation run (measurement window only). */
 struct RunResult
@@ -68,9 +35,6 @@ struct RunResult
     std::uint64_t interSocketBytes = 0;
     std::uint64_t broadcasts = 0;
     std::uint64_t broadcastsElided = 0;
-
-    /** Per-tenant QoS breakdown; empty for non-composed runs. */
-    std::vector<TenantMetrics> tenants;
 
     double
     ipc() const
@@ -145,16 +109,6 @@ class Runner
      */
     RunResult run(std::uint64_t warmup_ops, std::uint64_t measure_ops);
 
-    /**
-     * Turn on per-tenant QoS accounting (before run()): @p core_tenant
-     * maps each global core to a tenant index (-1 idle) and @p names
-     * labels the tenants. Registers one TenantStatSet per tenant with
-     * the machine's StatGroup -- so the warm-up reset covers them --
-     * and installs per-socket local-core maps into every Socket.
-     */
-    void enableTenantTracking(std::vector<std::int32_t> core_tenant,
-                              std::vector<std::string> names);
-
     Machine &machine() { return *m; }
     const std::vector<std::unique_ptr<TraceCpu>> &cores() const
     {
@@ -170,13 +124,6 @@ class Runner
     WatchdogState watchdog; //!< armed iff opts.watchdog.any()
     std::vector<std::unique_ptr<TraceCpu>> cpus;
     Barrier barrier;
-
-    /** Tenant accounting state (empty unless enabled). Sized once at
-     * enable time: the StatGroup keeps raw pointers into the vector,
-     * so it must never reallocate afterwards. */
-    std::vector<TenantStatSet> tenantSets;
-    std::vector<std::int32_t> coreTenant; //!< global core -> tenant
-    std::vector<std::string> tenantNames;
 };
 
 /** Convenience: build, run, and summarize in one call. */

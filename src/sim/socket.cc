@@ -68,8 +68,6 @@ Socket::complete(MissSlot slot)
     Request &r = requests[slot];
     const Tick lat = eventq.now() - r.start;
     (r.write ? storeLatency : loadLatency).sample(lat);
-    if (TenantStatSet *t = tenantFor(r.core))
-        t->memLatency.sample(lat);
     // Free the slot before running the callback: the core may issue
     // its next access (and take a slot) from inside it.
     EventQueue::Callback done = std::move(r.done);
@@ -82,8 +80,6 @@ void
 Socket::load(std::uint32_t core, Addr addr, EventQueue::Callback done)
 {
     ++loads;
-    if (TenantStatSet *t = tenantFor(core))
-        ++t->loads;
     const Addr blk = blockAlign(addr);
     const MissSlot slot = takeSlot(core, blk, /*write=*/false,
                                    /*private_page=*/false,
@@ -131,11 +127,7 @@ Socket::accessLlcForRead(MissSlot slot)
             issueGetS(slot);
             return;
         }
-        // The tenant tag rides into the cache so hits/misses are
-        // counted exactly where the cache's own counters tick (exact
-        // attribution even under racing invalidations).
-        const Request &r = requests[slot];
-        dcache->probe(r.blk, [this, slot](DramCacheProbe res) {
+        dcache->probe(requests[slot].blk, [this, slot](DramCacheProbe res) {
             // Re-validate at fill time: an invalidation may have
             // raced with the probe (the in-flight access is squashed,
             // as a transient MSHR state would).
@@ -148,7 +140,7 @@ Socket::accessLlcForRead(MissSlot slot)
             } else {
                 issueGetS(slot);
             }
-        }, /*always_access=*/false, tenantIdxFor(r.core));
+        });
     });
 }
 
@@ -200,8 +192,6 @@ Socket::store(std::uint32_t core, Addr addr, bool private_page,
               EventQueue::Callback done)
 {
     ++stores;
-    if (TenantStatSet *t = tenantFor(core))
-        ++t->stores;
     const Addr blk = blockAlign(addr);
     const MissSlot slot = takeSlot(core, blk, /*write=*/true,
                                    private_page, std::move(done));

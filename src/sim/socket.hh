@@ -27,7 +27,6 @@
 #include "dramcache/dram_cache.hh"
 #include "mem/memory_controller.hh"
 #include "sim/event_queue.hh"
-#include "workload/tenant_stats.hh"
 
 namespace c3d
 {
@@ -50,25 +49,6 @@ class Socket
 
     /** Late binding: the machine wires the protocol after build. */
     void setProtocol(GlobalProtocol *p) { protocol = p; }
-
-    /**
-     * Per-tenant QoS attribution for composed workloads: @p by_core
-     * maps each socket-local core to its tenant's stat set (nullptr
-     * for idle cores) and @p tenant_idx to its tenant index
-     * (DramCache::NoTenant for idle). Empty vectors -- the default --
-     * disable tenant accounting entirely. Loads/stores and latency
-     * are attributed here (the deepest layer that still knows the
-     * requesting core); DRAM-cache hits/misses and block ownership
-     * are attributed inside the DRAM cache itself via the tenant tag
-     * threaded through probe().
-     */
-    void
-    setTenantStats(std::vector<TenantStatSet *> by_core,
-                   std::vector<std::uint32_t> tenant_idx)
-    {
-        tenantStats = std::move(by_core);
-        tenantIdx = std::move(tenant_idx);
-    }
 
     SocketId id() const { return socketId; }
 
@@ -326,21 +306,6 @@ class Socket
     /** Downgrade Modified L1 copies to Shared (remote GetS). */
     void downgradeL1Sharers(Addr addr, std::uint64_t sharers);
 
-    /** Tenant stat set of local @p core; nullptr when untracked. */
-    TenantStatSet *
-    tenantFor(std::uint32_t core) const
-    {
-        return core < tenantStats.size() ? tenantStats[core] : nullptr;
-    }
-
-    /** Tenant index of local @p core; NoTenant when untracked. */
-    std::uint32_t
-    tenantIdxFor(std::uint32_t core) const
-    {
-        return core < tenantIdx.size() ? tenantIdx[core]
-                                       : DramCache::NoTenant;
-    }
-
     EventQueue &eventq;
     const SystemConfig &cfg;
     const SocketId socketId;
@@ -392,11 +357,6 @@ class Socket
     Counter getSIssued;
     Histogram loadLatency;
     Histogram storeLatency;
-
-    /** Local core -> tenant stat set; empty = no tenant tracking. */
-    std::vector<TenantStatSet *> tenantStats;
-    /** Local core -> tenant index (DramCache attribution tag). */
-    std::vector<std::uint32_t> tenantIdx;
 };
 
 } // namespace c3d

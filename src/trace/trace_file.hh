@@ -106,17 +106,16 @@ std::string traceWorkloadName(const std::string &path,
 
 /**
  * Directory prefix of @p path, up to and including the last '/';
- * empty for a bare file name. Corpus manifests (`traces:` lists,
- * `compose:` manifests) resolve relative member paths against it.
+ * empty for a bare file name. `traces:` manifests resolve relative
+ * member paths against it.
  */
 std::string dirPrefix(const std::string &path);
 
 /**
  * True when @p in and @p out name the same file: equal paths, or two
  * paths resolving to one inode. Writing @p out would clobber @p in
- * mid-read, so every tool that derives an output from input files
- * (`c3d-trace truncate`, `c3d-trace compose`) refuses such targets
- * through this one guard.
+ * mid-read, so `c3d-trace truncate` refuses such targets through
+ * this guard.
  */
 bool sameFileTarget(const std::string &in, const std::string &out);
 

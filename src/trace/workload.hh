@@ -125,18 +125,6 @@ struct WorkloadProfile
 
     bool isTrace() const { return !tracePath.empty(); }
 
-    // ---- workload composition -------------------------------------------
-    /** Non-empty: this profile is a multi-tenant composition manifest
-     * (src/workload/composition.hh); the reference stream comes from
-     * a ComposedWorkload driving the member traces. */
-    std::string compositionPath;
-    /** Semantic hash of the composition (manifest fields + member
-     * trace content hashes; folded into grid fingerprints so
-     * resume/merge refuse modified compositions). */
-    std::uint64_t compositionHash = 0;
-
-    bool isComposition() const { return !compositionPath.empty(); }
-
     /** Divide all footprints by @p factor (floor one page each). */
     WorkloadProfile scaled(std::uint32_t factor) const;
 };

@@ -231,6 +231,11 @@ TEST(FlagTable, StoresEveryKind)
     EXPECT_EQ(s.designs,
               (std::vector<Design>{Design::Snoopy, Design::C3D}));
     EXPECT_FALSE(t.helpRequested());
+    // given() names what the command line held, set or not.
+    EXPECT_TRUE(t.given("switch"));
+    EXPECT_TRUE(t.given("designs"));
+    EXPECT_FALSE(t.given("opt"));
+    EXPECT_FALSE(t.given("no-such-flag"));
 }
 
 TEST(FlagTable, OptionalValueBothWays)

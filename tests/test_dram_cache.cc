@@ -254,57 +254,6 @@ TEST(DramCache, SlowerLatencyConfigRespected)
     EXPECT_GE(done, nsToTicks(50));
 }
 
-TEST(DramCache, TenantAttributionAndOccupancy)
-{
-    EventQueue eq;
-    StatGroup g("t");
-    SystemConfig cfg = dcConfig(Design::FullDir);
-    DramCache dc(eq, cfg, 0, &g);
-    dc.enableTenantTracking(2);
-    ASSERT_TRUE(dc.tenantTrackingEnabled());
-
-    // Tenant 0 fills a block and hits on it.
-    dc.insert(0x1000, false, 0);
-    EXPECT_EQ(dc.tenantOccupancy(0), 1u);
-    EXPECT_EQ(dc.tenantOccupancy(1), 0u);
-    bool present = false;
-    dc.probe(0x1000, [&](DramCacheProbe r) { present = r.present; },
-             false, 0);
-    eq.run();
-    EXPECT_TRUE(present);
-    EXPECT_EQ(dc.tenantHitCount(0), 1u);
-    EXPECT_EQ(dc.tenantMissCount(0), 0u);
-
-    // Tenant 1 misses on an absent block (predictor short-circuit
-    // path): the miss is attributed to tenant 1, not tenant 0.
-    dc.probe(0x2000, [](DramCacheProbe) {}, false, 1);
-    eq.run();
-    EXPECT_EQ(dc.tenantMissCount(1), 1u);
-    EXPECT_EQ(dc.tenantHitCount(1), 0u);
-    EXPECT_EQ(dc.tenantMissCount(0), 0u);
-
-    // A hit by tenant 1 on tenant 0's block re-owns it: occupancy is
-    // a last-toucher gauge.
-    dc.probe(0x1000, [](DramCacheProbe) {}, false, 1);
-    eq.run();
-    EXPECT_EQ(dc.tenantHitCount(1), 1u);
-    EXPECT_EQ(dc.tenantOccupancy(0), 0u);
-    EXPECT_EQ(dc.tenantOccupancy(1), 1u);
-
-    // A conflict eviction releases the victim's occupancy as it
-    // charges the inserter's.
-    const Addr conflict = dc.capacityBlocks() * BlockBytes + 0x1000;
-    dc.insert(conflict, false, 0);
-    EXPECT_EQ(dc.tenantOccupancy(1), 0u);
-    EXPECT_EQ(dc.tenantOccupancy(0), 1u);
-
-    // Invalidation drops the owner's occupancy too.
-    dc.invalidate(conflict, [](bool, bool) {});
-    eq.run();
-    EXPECT_EQ(dc.tenantOccupancy(0), 0u);
-    EXPECT_EQ(dc.tenantOccupancy(1), 0u);
-}
-
 /**
  * Naive DRAM-cache model: the resident block of every occupied frame
  * in a std::map, plus the counters the cache and its MissMap keep.
@@ -315,7 +264,6 @@ struct FrameModel
     {
         Addr blk = 0;
         bool dirty = false;
-        std::uint32_t owner = DramCache::NoTenant;
     };
 
     explicit FrameModel(std::uint64_t frames) : frames(frames) {}
@@ -330,7 +278,7 @@ struct FrameModel
 
     /** Fill @p blk's frame after a miss; returns the victim. */
     DramCacheVictim
-    fill(Addr blk, bool dirty, std::uint32_t tenant)
+    fill(Addr blk, bool dirty)
     {
         DramCacheVictim v;
         auto it = map.find(blk % frames);
@@ -339,24 +287,8 @@ struct FrameModel
             v.addr = it->second.blk << BlockShift;
             v.dirty = it->second.dirty;
         }
-        map[blk % frames] = Frame{blk, dirty, tenant};
+        map[blk % frames] = Frame{blk, dirty};
         return v;
-    }
-
-    void
-    own(Addr blk, std::uint32_t tenant)
-    {
-        if (tenant != DramCache::NoTenant)
-            map[blk % frames].owner = tenant;
-    }
-
-    std::uint64_t
-    occupancy(std::uint32_t t) const
-    {
-        std::uint64_t n = 0;
-        for (const auto &[i, f] : map)
-            n += f.owner == t;
-        return n;
     }
 
     const std::uint64_t frames;
@@ -381,7 +313,6 @@ TEST(DramCache, FramesMatchReferenceModelUnderRandomTraffic)
             SystemConfig cfg = dcConfig(Design::FullDir, exact);
             cfg.dramCacheBytes = frames * BlockBytes;
             DramCache dc(eq, cfg, 0, &g);
-            dc.enableTenantTracking(3);
             ASSERT_EQ(dc.capacityBlocks(), frames);
             FrameModel model(frames);
             const std::string pfx = "socket0.dram_cache";
@@ -391,37 +322,31 @@ TEST(DramCache, FramesMatchReferenceModelUnderRandomTraffic)
                 const Addr blk = rng.below(frames * 4);
                 const Addr addr =
                     (blk << BlockShift) | rng.below(BlockBytes);
-                const std::uint64_t pick = rng.below(4);
-                const std::uint32_t tenant =
-                    pick == 3 ? DramCache::NoTenant
-                              : static_cast<std::uint32_t>(pick);
                 const FrameModel::Frame *f = model.holding(blk);
                 const std::uint64_t op = rng.below(100);
                 if (op < 35) {
                     const bool dirty = rng.below(2) == 0;
                     const DramCacheVictim v =
-                        dc.insert(addr, dirty, tenant);
+                        dc.insert(addr, dirty);
                     ++model.inserts;
                     DramCacheVictim mv;
                     if (f) {
                         model.map[blk % frames].dirty = dirty;
-                        model.own(blk, tenant);
                     } else {
-                        mv = model.fill(blk, dirty, tenant);
+                        mv = model.fill(blk, dirty);
                     }
                     ASSERT_EQ(v.valid, mv.valid) << "step " << step;
                     ASSERT_EQ(v.addr, mv.addr) << "step " << step;
                     ASSERT_EQ(v.dirty, mv.dirty) << "step " << step;
                 } else if (op < 50) {
-                    const DramCacheVictim v = dc.updateClean(addr, tenant);
+                    const DramCacheVictim v = dc.updateClean(addr);
                     DramCacheVictim mv;
                     if (f) {
                         ++model.writeUpdates;
                         model.map[blk % frames].dirty = false;
-                        model.own(blk, tenant);
                     } else {
                         ++model.inserts;
-                        mv = model.fill(blk, false, tenant);
+                        mv = model.fill(blk, false);
                     }
                     ASSERT_EQ(v.valid, mv.valid) << "step " << step;
                     ASSERT_EQ(v.addr, mv.addr) << "step " << step;
@@ -448,14 +373,13 @@ TEST(DramCache, FramesMatchReferenceModelUnderRandomTraffic)
                     const bool always = rng.below(4) == 0;
                     DramCacheProbe r;
                     dc.probe(addr, [&](DramCacheProbe p) { r = p; },
-                             always, tenant);
+                             always);
                     eq.run();
                     model.queries += !always;
                     ASSERT_EQ(r.present, f != nullptr) << "step " << step;
                     if (f) {
                         ASSERT_EQ(r.dirty, f->dirty) << "step " << step;
                         ++model.hits;
-                        model.own(blk, tenant);
                     } else {
                         ++model.misses;
                         ++model.absentAsked;
@@ -481,10 +405,6 @@ TEST(DramCache, FramesMatchReferenceModelUnderRandomTraffic)
                     ASSERT_EQ(false_present, 0u);
                 } else {
                     ASSERT_EQ(absent + false_present, model.absentAsked);
-                }
-                for (std::uint32_t t = 0; t < 3; ++t) {
-                    ASSERT_EQ(dc.tenantOccupancy(t), model.occupancy(t))
-                        << "step " << step << " tenant " << t;
                 }
                 if (step % 101 == 0) {
                     ASSERT_EQ(dc.validBlocks(), model.map.size());

@@ -4,8 +4,8 @@
  * eligible configuration the multi-queue kernel run with N worker
  * threads must reproduce the 1-thread sequential oracle byte for
  * byte at the sweep-emitter level (JSON and CSV), across all five
- * designs, synthetic and composed multi-tenant workloads, and both
- * socket counts. Determinism here is by construction -- the cell
+ * designs, synthetic and trace-replay workloads, and both socket
+ * counts. Determinism here is by construction -- the cell
  * schedule (which events run in which W-cell, and their (tick, seq)
  * order within a socket's queue) does not depend on the worker
  * count -- so any divergence is a real ordering bug, not noise.
@@ -23,7 +23,6 @@
 #include "sim/runner.hh"
 #include "test_helpers.hh"
 #include "trace/trace_file.hh"
-#include "workload/composition.hh"
 
 namespace c3d
 {
@@ -85,55 +84,36 @@ TEST(ParallelKernel, AllDesignsMatchSequentialOracleByteForByte)
     EXPECT_EQ(ref.toCsv(), t4.toCsv());
 }
 
-/** Record a small deterministic 2-core trace; @p salt perturbs it. */
-TraceFileInfo
-writeTrace(const std::string &path, Addr salt = 0)
+/** Record a small deterministic @p cores-core trace. */
+void
+writeTrace(const std::string &path, std::uint16_t cores)
 {
-    TraceFileWriter w(path, 2);
+    TraceFileWriter w(path, cores);
     for (std::uint32_t i = 0; i < 200; ++i) {
-        for (std::uint16_t c = 0; c < 2; ++c) {
-            const Addr base = (i * 13 + c * 101 + salt) % 256;
+        for (std::uint16_t c = 0; c < cores; ++c) {
+            const Addr base = (i * 13 + c * 101) % 256;
             w.append({c, static_cast<std::uint16_t>(i % 4),
                       i % 5 == 0 ? MemOp::Write : MemOp::Read,
                       base * 64});
         }
     }
     w.close();
-    TraceFileInfo info;
-    std::string error;
-    EXPECT_TRUE(scanTraceFile(path, info, error)) << error;
-    return info;
 }
 
-TEST(ParallelKernel, ComposedTenantRowsMatchIncludingQosColumns)
+TEST(ParallelKernel, TraceReplayRowsMatchSequentialOracle)
 {
-    // Two-tenant composition: per-tenant latency percentiles come
-    // from histograms that every socket thread updates concurrently,
-    // so this exercises the atomic stats path end to end.
-    const std::string trace_a = tempPath("tena.c3dt");
-    const std::string trace_b = tempPath("tenb.c3dt");
-    CompositionSpec spec;
-    spec.name = "parmix";
-    spec.seed = 42;
-    spec.tenants.push_back(
-        {trace_a, writeTrace(trace_a).contentHash, 0, 0});
-    spec.tenants.push_back(
-        {trace_b, writeTrace(trace_b, /*salt=*/7).contentHash, 0, 0});
-
-    const std::string manifest = tempPath("parmix.json");
-    std::FILE *f = std::fopen(manifest.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    const std::string json = compositionToJson(spec);
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-
-    WorkloadProfile composed;
+    // An 8-lane trace keeps every core busy on both socket counts,
+    // all of them sharing one 256-block region; the replay reader
+    // and the coherence traffic it drives run on every socket
+    // thread at once.
+    const std::string trace = tempPath("replay.c3dt");
+    writeTrace(trace, /*cores=*/8);
+    WorkloadProfile replay;
     std::string error;
-    ASSERT_TRUE(loadCompositionProfile(manifest, composed, error))
-        << error;
+    ASSERT_TRUE(loadTraceProfile(trace, replay, error)) << error;
 
     exp::SweepGrid grid;
-    grid.workloads = {composed};
+    grid.workloads = {replay};
     grid.designs = {Design::Baseline, Design::C3D};
     grid.sockets = {2, 4};
     grid.scale = 256;
@@ -151,9 +131,7 @@ TEST(ParallelKernel, ComposedTenantRowsMatchIncludingQosColumns)
     EXPECT_EQ(ref.toJson(), par.toJson());
     EXPECT_EQ(ref.toCsv(), par.toCsv());
 
-    std::remove(manifest.c_str());
-    std::remove(trace_a.c_str());
-    std::remove(trace_b.c_str());
+    std::remove(trace.c_str());
 }
 
 void
@@ -171,7 +149,6 @@ expectSameRunResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.interSocketBytes, b.interSocketBytes);
     EXPECT_EQ(a.broadcasts, b.broadcasts);
     EXPECT_EQ(a.broadcastsElided, b.broadcastsElided);
-    EXPECT_EQ(a.tenants.size(), b.tenants.size());
 }
 
 TEST(ParallelKernel, IneligibleConfigsRunOnOneSharedQueue)

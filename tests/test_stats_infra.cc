@@ -78,7 +78,7 @@ TEST(StatsInfra, PercentileEdgeCasesAreDefined)
 {
     Histogram h;
     // Empty histogram: every percentile query returns 0, never NaN
-    // or a crash (tenant QoS extraction runs unconditionally).
+    // or a crash (a histogram nobody sampled is a normal state).
     EXPECT_EQ(h.percentile(50), 0u);
     EXPECT_EQ(h.percentile(0), 0u);
     EXPECT_EQ(h.percentile(100), 0u);

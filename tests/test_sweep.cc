@@ -232,11 +232,13 @@ TEST(ResultTable, CsvRoundTrip)
     EXPECT_EQ(parsed.toCsv(), csv);
 }
 
-TEST(ResultTable, RejectsProtocolOtherThanMesi)
+TEST(ResultTable, RejectsValuesOfTheFixedColumns)
 {
-    // The protocol column is always "mesi". A row naming another
-    // snoopy protocol (an older build's journal or artifact) cannot be
-    // reproduced, so every reader refuses it and names the value.
+    // Two columns are fixed. `protocol` is always "mesi": a row naming
+    // another snoopy protocol (an older build's journal or artifact)
+    // cannot be reproduced, so every reader refuses it and names the
+    // value. `tenants` is always empty: a row carrying a per-tenant
+    // breakdown (CSV field or JSON member) is refused the same way.
     exp::SweepGrid grid = smallGrid();
     grid.designs = {Design::Snoopy};
     const std::vector<exp::RunSpec> specs = grid.expand();
@@ -249,22 +251,38 @@ TEST(ResultTable, RejectsProtocolOtherThanMesi)
         EXPECT_NE(at, std::string::npos);
         return text.replace(at, 4, "firefly");
     };
+    // A tenants member right after the row's last field, ipc.
+    const auto with_tenants = [](std::string text) {
+        const std::size_t at = text.find('}', text.find("\"ipc\""));
+        EXPECT_NE(at, std::string::npos);
+        return text.insert(at, ", \"tenants\": []");
+    };
+    const auto expect_refused = [](bool parsed, const std::string &error,
+                                   const char *needle) {
+        EXPECT_FALSE(parsed);
+        EXPECT_NE(error.find(needle), std::string::npos) << error;
+    };
 
     exp::ResultTable parsed;
     std::string error;
-    ASSERT_TRUE(exp::ResultTable::fromCsv(table.toCsv(), parsed, error))
-        << error;
-    EXPECT_FALSE(
-        exp::ResultTable::fromCsv(other(table.toCsv()), parsed, error));
-    EXPECT_NE(error.find("'firefly'"), std::string::npos) << error;
+    const std::string csv = table.toCsv();
+    ASSERT_TRUE(exp::ResultTable::fromCsv(csv, parsed, error)) << error;
+    expect_refused(exp::ResultTable::fromCsv(other(csv), parsed, error),
+                   error, "'firefly'");
+    ASSERT_EQ(csv.substr(csv.size() - 2), ",\n");
+    const std::string tenant_csv =
+        csv.substr(0, csv.size() - 1) + "\"[{\"\"name\"\": \"\"t0\"\"}]\"\n";
+    expect_refused(exp::ResultTable::fromCsv(tenant_csv, parsed, error),
+                   error, "unsupported tenants");
 
     error.clear();
-    ASSERT_TRUE(
-        exp::ResultTable::fromJson(table.toJson(), parsed, error))
-        << error;
-    EXPECT_FALSE(
-        exp::ResultTable::fromJson(other(table.toJson()), parsed, error));
-    EXPECT_NE(error.find("'firefly'"), std::string::npos) << error;
+    const std::string json = table.toJson();
+    ASSERT_TRUE(exp::ResultTable::fromJson(json, parsed, error)) << error;
+    expect_refused(exp::ResultTable::fromJson(other(json), parsed, error),
+                   error, "'firefly'");
+    expect_refused(
+        exp::ResultTable::fromJson(with_tenants(json), parsed, error),
+        error, "unsupported tenants");
 
     const std::string header =
         exp::journalHeaderLine(specs.size(), exp::gridFingerprint(specs));
@@ -273,8 +291,11 @@ TEST(ResultTable, RejectsProtocolOtherThanMesi)
     error.clear();
     ASSERT_TRUE(exp::parseJournal(header + entry, data, error)) << error;
     EXPECT_EQ(data.entries.size(), 1u);
-    EXPECT_FALSE(exp::parseJournal(header + other(entry), data, error));
-    EXPECT_NE(error.find("'firefly'"), std::string::npos) << error;
+    expect_refused(exp::parseJournal(header + other(entry), data, error),
+                   error, "'firefly'");
+    expect_refused(
+        exp::parseJournal(header + with_tenants(entry), data, error),
+        error, "unsupported tenants");
 }
 
 TEST(SweepGrid, FingerprintOfMesiGridIsPinned)
@@ -307,7 +328,7 @@ TEST(ResultTable, RejectsMalformedInput)
 
     // Numeric CSV fields must be plain digit strings: empty and
     // negative values are corrupt rows, not zeros / wrapped u64s.
-    // (The trailing empty field is the tenants column.)
+    // (The trailing field is the always-empty tenants column.)
     const std::string header = exp::ResultTable().toCsv();
     const std::string good =
         "w,,c3d,mesi,FT2,4,8,32,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,1.0,";

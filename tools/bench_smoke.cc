@@ -20,14 +20,6 @@
  *              via --workloads=trace: (whole vs sharded+merged vs
  *              resumed, byte-identical), and assert that resuming a
  *              journal against a modified trace fails loudly.
- *   compose-cli  <c3d-sweep> <c3d-trace>: record two traces, pin
- *              them into a composition manifest (c3d-trace compose),
- *              sweep it via --workloads=compose: (whole vs
- *              sharded+merged vs resumed, byte-identical, per-tenant
- *              stats present), compose again from relative paths
- *              into a subdirectory (the manifest must load back),
- *              and assert that a modified member trace is refused
- *              with a precise diagnostic.
  *
  * Exit status 0 on success; 1 with a diagnostic on any failure. The
  * CTest smoke suite registers one invocation per bench binary.
@@ -36,7 +28,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -45,7 +36,6 @@
 #include "exp/journal.hh"
 #include "exp/json.hh"
 #include "exp/result_table.hh"
-#include "trace/trace_file.hh"
 
 namespace
 {
@@ -322,6 +312,31 @@ traceCliCheck(const std::string &sweep_binary,
         return 1;
     }
 
+    // info --json must be machine-readable with the documented keys.
+    if (!runCommand(tracer + " info --json " + shellQuote(trace), out))
+        return 1;
+    {
+        c3d::exp::JsonValue info;
+        std::string error;
+        if (!c3d::exp::parseJson(out, info, error) ||
+            !info.isObject()) {
+            std::fprintf(stderr,
+                         "bench-smoke: info --json is not a JSON "
+                         "object: %s\n", error.c_str());
+            return 1;
+        }
+        for (const char *key :
+             {"file", "workload", "cores", "records", "content_hash",
+              "per_core_records"}) {
+            if (!info.member(key)) {
+                std::fprintf(stderr,
+                             "bench-smoke: info --json lacks '%s'\n",
+                             key);
+                return 1;
+            }
+        }
+    }
+
     // A truncated copy must itself be a valid trace.
     const std::string trimmed = tmp.path("trimmed.c3dt");
     if (!runCommand(tracer + " truncate " + shellQuote(trace) +
@@ -364,138 +379,6 @@ traceCliCheck(const std::string &sweep_binary,
     return 0;
 }
 
-/**
- * End-to-end check of multi-tenant composed sweeps: record two
- * distinct traces, `c3d-trace compose` them into a manifest, and run
- * the same distribution differential a plain trace sweep gets --
- * whole vs sharded+merged vs interrupted+resumed byte-identical --
- * plus composition-specific checks: `info --json` is machine
- * readable, the CSV rows carry per-tenant QoS columns, the manifest
- * refuses to overwrite a member, and a member modified after
- * composition is refused naming both hashes.
- */
-int
-composeCliCheck(const std::string &sweep_binary,
-                const std::string &trace_binary)
-{
-    SmokeDir tmp;
-    if (!tmp.init("c3d_compose_smoke_XXXXXX"))
-        return 1;
-    const std::string sweep = shellQuote(sweep_binary);
-    // Absolute: one compose below runs from inside the smoke dir.
-    const std::string tracer =
-        shellQuote(std::filesystem::absolute(trace_binary).string());
-    std::string out;
-
-    // Two small tenants with different profiles and seeds, so their
-    // streams (and QoS stats) genuinely differ.
-    const std::string trace_a = tmp.path("tenant_a.c3dt");
-    const std::string trace_b = tmp.path("tenant_b.c3dt");
-    if (!runCommand(tracer + " record --profile=facesim --cores=2"
-                           " --ops=500 --seed=11 --out=" +
-                        shellQuote(trace_a) + " 2>&1", out) ||
-        !runCommand(tracer + " record --profile=canneal --cores=2"
-                           " --ops=500 --seed=13 --out=" +
-                        shellQuote(trace_b) + " 2>&1", out))
-        return 1;
-
-    // info --json must be machine-readable with the documented keys.
-    if (!runCommand(tracer + " info --json " + shellQuote(trace_a),
-                    out))
-        return 1;
-    {
-        c3d::exp::JsonValue info;
-        std::string error;
-        if (!c3d::exp::parseJson(out, info, error) ||
-            !info.isObject()) {
-            std::fprintf(stderr,
-                         "bench-smoke: info --json is not a JSON "
-                         "object: %s\n", error.c_str());
-            return 1;
-        }
-        for (const char *key :
-             {"file", "workload", "cores", "records", "content_hash",
-              "per_core_records"}) {
-            if (!info.member(key)) {
-                std::fprintf(stderr,
-                             "bench-smoke: info --json lacks '%s'\n",
-                             key);
-                return 1;
-            }
-        }
-    }
-
-    // Composing over a member must refuse before touching the file.
-    if (!runExpectFailure(tracer + " compose --out=" +
-                              shellQuote(trace_a) + " " +
-                              shellQuote(trace_a) + " " +
-                              shellQuote(trace_b),
-                          "refusing"))
-        return 1;
-
-    const std::string manifest = tmp.path("mix.json");
-    if (!runCommand(tracer + " compose --name=smokemix --seed=5"
-                           " --assign=interleave --arrival=staggered"
-                           " --stagger-gap=64 --out=" +
-                        shellQuote(manifest) + " " +
-                        shellQuote(trace_a) + " " +
-                        shellQuote(trace_b) + " 2>&1", out))
-        return 1;
-
-    // Whole vs sharded+merged vs resumed, byte for byte.
-    const std::string grid = " --quick --designs=baseline,c3d"
-                             " --sockets=2 --jobs=2 --workloads=" +
-                             shellQuote("compose:" + manifest);
-    std::vector<std::string> journals;
-    if (!shardMergeResumeDifferential(sweep, grid, 2, tmp, journals))
-        return 1;
-
-    // Relative member paths, manifest in a subdirectory: the paths
-    // written must resolve from the manifest's directory, which
-    // compose proves by loading the manifest back (members and
-    // their pinned hashes). std::remove deletes "sub" after its
-    // manifest, an empty directory by then.
-    tmp.path("sub/mix.json");
-    tmp.path("sub");
-    if (!runCommand("cd " + shellQuote(c3d::dirPrefix(trace_a)) +
-                        " && mkdir sub && " +
-                        tracer + " compose --out=sub/mix.json"
-                        " tenant_a.c3dt tenant_b.c3dt 2>&1",
-                    out))
-        return 1;
-
-    // The CSV artifact must carry the per-tenant QoS breakdown.
-    const std::string csv = tmp.path("composed.csv");
-    std::string csv_text;
-    if (!runCommand(sweep + grid + " --format=csv --out=" +
-                    shellQuote(csv), out) ||
-        !readFile(csv, csv_text))
-        return 1;
-    for (const char *needle : {"lat_p50", "t0:", "t1:"}) {
-        if (csv_text.find(needle) == std::string::npos) {
-            std::fprintf(stderr,
-                         "bench-smoke: composed CSV lacks per-tenant "
-                         "marker '%s'\n", needle);
-            return 1;
-        }
-    }
-
-    // Flip one address byte in a member: structurally valid, but the
-    // content hash no longer matches the manifest's pin, so the
-    // sweep must refuse with the precise diagnostic.
-    if (!runCommand("printf '\\377' | dd of=" + shellQuote(trace_b) +
-                        " bs=1 seek=48 conv=notrunc 2>/dev/null",
-                    out))
-        return 1;
-    if (!runExpectFailure(sweep + grid + " --out=/dev/null",
-                          "changed since the manifest was composed"))
-        return 1;
-
-    std::printf("ok: composed sweep shard+merge and resume are "
-                "byte-identical; modified member refused\n");
-    return 0;
-}
-
 } // namespace
 
 int
@@ -510,16 +393,14 @@ main(int argc, char **argv)
     const std::string mode = argv[1];
     if (mode == "sweep-cli")
         return sweepCliCheck(argv[2]);
-    if (mode == "trace-cli" || mode == "compose-cli") {
+    if (mode == "trace-cli") {
         if (argc < 4) {
             std::fprintf(stderr,
-                         "usage: bench-smoke %s <c3d-sweep> "
-                         "<c3d-trace>\n", mode.c_str());
+                         "usage: bench-smoke trace-cli <c3d-sweep> "
+                         "<c3d-trace>\n");
             return 2;
         }
-        return mode == "trace-cli"
-            ? traceCliCheck(argv[2], argv[3])
-            : composeCliCheck(argv[2], argv[3]);
+        return traceCliCheck(argv[2], argv[3]);
     }
     if (mode != "table" && mode != "json") {
         std::fprintf(stderr, "bench-smoke: unknown mode '%s'\n",

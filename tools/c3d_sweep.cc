@@ -45,7 +45,6 @@
 #include "sim/fault_injector.hh"
 #include "sim/watchdog.hh"
 #include "trace/trace_file.hh"
-#include "workload/composition.hh"
 
 namespace
 {
@@ -169,14 +168,6 @@ parseWorkloads(const std::string &value,
         } else if (name.rfind("traces:", 0) == 0) {
             if (!loadTraceManifest(name.substr(7), out, error))
                 return false;
-        } else if (name.rfind("compose:", 0) == 0) {
-            // Multi-tenant composition manifest (c3d-trace compose):
-            // validates the manifest and every member trace now, so
-            // a stale pin refuses before any simulation starts.
-            WorkloadProfile p;
-            if (!loadCompositionProfile(name.substr(8), p, error))
-                return false;
-            out.push_back(std::move(p));
         } else if (name == "mcf") {
             out.push_back(mcfProfile());
         } else {
@@ -279,8 +270,8 @@ sweepTable(SweepCli &cli)
               cli.grid.designs, parseDesign, "unknown design")
         .custom("workloads", "A,B|all",
                 "profile names (default facesim), 'all' (the nine "
-                "parallel profiles), 'trace:FILE', 'traces:MANIFEST' or "
-                "'compose:MANIFEST' (docs/traces.md, docs/workloads.md)",
+                "parallel profiles), 'trace:FILE' or 'traces:MANIFEST' "
+                "(docs/traces.md)",
                 [&cli](const std::string &value, std::string &error) {
                     return parseWorkloads(value, cli.grid.workloads,
                                           error);
@@ -312,7 +303,11 @@ sweepTable(SweepCli &cli)
                 cli.grid.measureOps, 1)
         .number("seed", "override every profile's RNG seed",
                 cli.grid.seed)
-        .flag("quick", "tiny grid preset for smoke runs", cli.quick);
+        .flag("quick",
+              "tiny grid preset for smoke runs: scale 256, 2 cores "
+              "per socket, 500 + 2000 refs; not with --scale, "
+              "--cores-per-socket, --warmup or --measure",
+              cli.quick);
     t.section("execution and output")
         .number("jobs", "worker threads (default 1; 0 = all cores)",
                 cli.jobs, 0, 256)
@@ -379,11 +374,11 @@ sweepTable(SweepCli &cli)
 
 /**
  * The rules no single flag can check: non-empty axes, --journal vs
- * --resume, --format=table vs --out; then the --quick preset. Empty
- * on success.
+ * --resume, --format=table vs --out, --quick vs the run parameters
+ * it presets; then the --quick preset. Empty on success.
  */
 std::string
-finishSweepCli(SweepCli &cli)
+finishSweepCli(SweepCli &cli, const FlagTable &flags)
 {
     const exp::SweepGrid &g = cli.grid;
     for (const auto &[empty, axis] :
@@ -400,8 +395,16 @@ finishSweepCli(SweepCli &cli)
                "(--resume already appends to its journal)";
     if (cli.format == "table" && !cli.outFile.empty())
         return TableToFile;
-    if (cli.quick)
-        cli.grid = exp::quickPreset(std::move(cli.grid));
+    if (!cli.quick)
+        return "";
+    // The preset would silently overwrite these.
+    for (const char *preset : {"scale", "cores-per-socket", "warmup",
+                               "measure"}) {
+        if (flags.given(preset))
+            return std::string("--quick sets --") + preset +
+                "; drop one of the two";
+    }
+    cli.grid = exp::quickPreset(std::move(cli.grid));
     return "";
 }
 
@@ -586,7 +589,7 @@ main(int argc, char **argv)
         }
         return *rc;
     }
-    const std::string rule_error = finishSweepCli(cli);
+    const std::string rule_error = finishSweepCli(cli, flags);
     if (!rule_error.empty())
         return flags.usageError("c3d-sweep", rule_error);
 

@@ -3,8 +3,7 @@
  * c3d-trace: record, inspect, validate, and trim c3dsim trace files.
  *
  * The sweep engine replays traces named as `--workloads=trace:FILE`
- * (docs/traces.md) and compositions named as `compose:MANIFEST`
- * (docs/workloads.md); this tool produces and maintains that corpus.
+ * (docs/traces.md); this tool produces and maintains that corpus.
  * `c3d-trace --help` lists the subcommands and their flags.
  */
 
@@ -19,7 +18,6 @@
 #include "exp/json.hh"
 #include "trace/trace_file.hh"
 #include "trace/workload.hh"
-#include "workload/composition.hh"
 
 namespace
 {
@@ -215,123 +213,6 @@ runTruncate(int argc, char **argv)
     return 0;
 }
 
-int
-runCompose(int argc, char **argv)
-{
-    CompositionSpec spec;
-    std::string out;
-    std::uint64_t phase_period = 0, phase_skip = 0;
-    std::vector<std::string> traces;
-    FlagTable flags("c3d-trace compose TRACE TRACE...: write a multi-tenant "
-                    "colocation manifest, each member pinned by content "
-                    "hash; replay with c3d-sweep "
-                    "--workloads=compose:MANIFEST");
-    flags.positional("TRACE...", "member traces (at least two)", traces)
-        .text("out", "MANIFEST", "manifest to write (required)", out)
-        .text("name", "NAME", "composition name (default composition)",
-              spec.name)
-        .number("seed", "arrival-process seed (default 1)", spec.seed)
-        .mapped("assign", "block|interleave",
-                "core assignment of tenants (default block)",
-                spec.assignment, parseAssignPolicy,
-                "unknown --assign policy")
-        .mapped("arrival", "fixed|poisson|staggered",
-                "tenant arrival process (default fixed)", spec.arrival,
-                parseArrivalProcess, "unknown --arrival process")
-        .number("arrival-mean-gap", "mean gap of --arrival=poisson",
-                spec.arrivalMeanGap)
-        .number("stagger-gap", "gap of --arrival=staggered",
-                spec.staggerGap)
-        .number("phase-period",
-                "every tenant's phase period in ops (0 = none)",
-                phase_period)
-        .number("phase-skip", "ops skipped per phase (needs "
-                "--phase-period)", phase_skip);
-    if (const auto rc = flags.parseArgs(argc, argv, Tool, 2))
-        return *rc;
-    if (out.empty())
-        return flags.usageError(Tool, "compose needs --out=MANIFEST");
-    if (traces.size() < 2)
-        return flags.usageError(
-            Tool, "compose needs at least two member TRACE files");
-    if (phase_skip && !phase_period)
-        return flags.usageError(Tool,
-                                "--phase-skip needs --phase-period");
-    if (spec.arrival == ArrivalProcess::Poisson &&
-        spec.arrivalMeanGap == 0)
-        return flags.usageError(
-            Tool, "--arrival=poisson needs --arrival-mean-gap");
-    if (spec.arrival == ArrivalProcess::Staggered &&
-        spec.staggerGap == 0)
-        return flags.usageError(
-            Tool, "--arrival=staggered needs --stagger-gap");
-
-    std::string error;
-    for (const std::string &trace : traces) {
-        // Same guard as truncate: writing the manifest over a member
-        // would clobber the trace being pinned.
-        if (sameFileTarget(trace, out)) {
-            std::fprintf(stderr,
-                         "c3d-trace: refusing --out='%s': it names "
-                         "member trace '%s'\n",
-                         out.c_str(), trace.c_str());
-            return 1;
-        }
-        // Written relative to the manifest's directory, which is
-        // where loadComposition resolves it.
-        TenantSpec tenant;
-        tenant.tracePath = manifestMemberPath(out, trace);
-        tenant.phasePeriodOps = phase_period;
-        tenant.phaseSkipOps = phase_skip;
-        TraceFileInfo info;
-        if (!scanTraceFile(trace, info, error)) {
-            std::fprintf(stderr, "c3d-trace: %s\n", error.c_str());
-            return 1;
-        }
-        tenant.traceHash = info.contentHash;
-        spec.tenants.push_back(std::move(tenant));
-    }
-
-    const std::string text = compositionToJson(spec);
-    std::FILE *f = std::fopen(out.c_str(), "wb");
-    if (!f) {
-        std::fprintf(stderr,
-                     "c3d-trace: cannot open '%s' for writing\n",
-                     out.c_str());
-        return 1;
-    }
-    const bool wrote =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    if (std::fclose(f) != 0 || !wrote) {
-        std::fprintf(stderr, "c3d-trace: writing '%s' failed\n",
-                     out.c_str());
-        std::remove(out.c_str());
-        return 1;
-    }
-
-    // Revalidate through the real loader, so a member it cannot find
-    // from the manifest's directory fails here, not at sweep time; a
-    // manifest that cannot load back is not kept.
-    CompositionSpec checked;
-    if (!loadComposition(out, checked, error)) {
-        std::fprintf(stderr,
-                     "c3d-trace: written manifest fails validation "
-                     "(%s); not keeping '%s'\n",
-                     error.c_str(), out.c_str());
-        std::remove(out.c_str());
-        return 1;
-    }
-    std::fprintf(stderr,
-                 "c3d-trace: wrote composition '%s' (%zu tenants, "
-                 "workload %s) to '%s'\n",
-                 checked.name.c_str(), checked.tenants.size(),
-                 compositionWorkloadName(
-                     out, compositionHashOf(checked))
-                     .c_str(),
-                 out.c_str());
-    return 0;
-}
-
 /** A subcommand-level usage error; the subcommands' flags are in
  *  `c3d-trace --help`. */
 int
@@ -363,8 +244,8 @@ main(int argc, char **argv)
             std::printf("\n");
         }
         std::printf("c3d-trace validate FILE: streaming validation; "
-                    "exit 1 on any defect\n\n");
-        return runCompose(3, args);
+                    "exit 1 on any defect\n");
+        return 0;
     }
     if (cmd == "record")
         return runRecord(argc, argv);
@@ -377,7 +258,5 @@ main(int argc, char **argv)
     }
     if (cmd == "truncate")
         return runTruncate(argc, argv);
-    if (cmd == "compose")
-        return runCompose(argc, argv);
     return usageError("unknown subcommand '" + cmd + "'");
 }
