@@ -22,7 +22,8 @@ main()
     setQuiet(true);
 
     // A 1/32-scale quad-socket machine: capacities shrink together
-    // with workload footprints, preserving hit rates (DESIGN.md §4).
+    // with workload footprints, preserving hit rates
+    // (SystemConfig::scaled, src/common/config.hh).
     constexpr std::uint32_t Scale = 32;
     SystemConfig cfg;
     cfg.numSockets = 4;

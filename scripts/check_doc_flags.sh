@@ -13,21 +13,13 @@ set -u
 build="${1:-build}"
 
 tools=()
-for tool in c3d-sweep c3d-trace bench-report example_design_shootout; do
+for tool in c3d-sweep c3d-trace c3d-paper bench-report \
+            example_design_shootout; do
     if [ ! -x "$build/$tool" ]; then
         echo "check_doc_flags: missing $build/$tool (build first)" >&2
         exit 2
     fi
     tools+=("$build/$tool")
-done
-# The figure benches share one table (bench/bench_main.hh);
-# bench_dir_storage_cost has its own. bench_micro_primitives is
-# google-benchmark's command line, not ours.
-for bench in "$build"/bench_*; do
-    case "$bench" in
-        */bench_micro_primitives) ;;
-        *) [ -f "$bench" ] && [ -x "$bench" ] && tools+=("$bench") ;;
-    esac
 done
 
 help=""

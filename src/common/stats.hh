@@ -177,19 +177,6 @@ class Histogram
         return buckets.at(idx).load(std::memory_order_relaxed);
     }
 
-    /**
-     * Approximate p-th percentile of the sampled values.
-     *
-     * Resolution is the power-of-two bucketing: the result is the
-     * rank's bucket lower bound, linearly interpolated across the
-     * bucket and clamped to [min(), max()], so a single-sample
-     * histogram returns exactly that sample. Defined (never NaN)
-     * for every input: an empty histogram returns 0, p <= 0 returns
-     * min(), and p >= 100 returns max(). Integer arithmetic only —
-     * the answer is bit-identical across platforms.
-     */
-    std::uint64_t percentile(double p) const;
-
     void
     reset()
     {

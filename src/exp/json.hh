@@ -4,8 +4,8 @@
  *
  * Just enough JSON for the experiment subsystem's needs: the sweep
  * result schema (docs/sweeps.md) round-trips through it, and the
- * bench smoke tests use it to assert that every bench's `--json`
- * output is well-formed. No exceptions; parse failures report a
+ * smoke tests use it to assert that every c3d-paper figure's
+ * `--json` output is well-formed. No exceptions; parse failures report a
  * position-annotated message.
  */
 

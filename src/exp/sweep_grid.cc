@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <type_traits>
 
 #include "common/hash.hh"
 #include "exp/result_table.hh"
@@ -48,6 +49,72 @@ gridFingerprint(const std::vector<RunSpec> &specs)
     char buf[24];
     std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
     return buf;
+}
+
+std::string
+configKey(const RunSpec &spec)
+{
+    std::string key;
+    const auto field = [&key](const char *name, const auto value) {
+        key += name;
+        key += '=';
+        if constexpr (std::is_floating_point_v<decltype(value)>) {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%a", value);
+            key += buf;
+        } else {
+            key += std::to_string(value);
+        }
+        key += ';';
+    };
+    const SystemConfig &c = spec.cfg;
+    key += "workload=" + spec.profile.name + ';';
+    field("seed", spec.profile.seed);
+    field("trace", spec.profile.traceHash);
+    field("scale", spec.scale);
+    field("warmup", spec.warmupOps);
+    field("measure", spec.measureOps);
+    key += std::string("design=") + designName(c.design) + ';';
+    key += std::string("mapping=") + mappingPolicyName(c.mapping) + ';';
+    field("sockets", c.numSockets);
+    field("cores", c.coresPerSocket);
+    field("l1Bytes", c.l1Bytes);
+    field("l1Ways", c.l1Ways);
+    field("l1Latency", c.l1Latency);
+    field("llcBytes", c.llcBytes);
+    field("llcWays", c.llcWays);
+    field("llcTagLatency", c.llcTagLatency);
+    field("llcDataLatency", c.llcDataLatency);
+    if (c.designUsesDramCache()) {
+        field("hasDramCache", c.hasDramCache);
+        field("dramCacheBytes", c.dramCacheBytes);
+        field("dramCacheLatency", c.dramCacheLatency);
+        field("dramCacheChannels", c.dramCacheChannels);
+        field("dramCacheChannelGBps", c.dramCacheChannelGBps);
+        field("missPredictorEnabled", c.missPredictorEnabled);
+        field("missPredictorExact", c.missPredictorExact);
+        field("missPredictorEntries", c.missPredictorEntries);
+        field("missPredictorLatency", c.missPredictorLatency);
+        field("missPredictorRegionBytes", c.missPredictorRegionBytes);
+    }
+    field("memLatency", c.memLatency);
+    field("memChannels", c.memChannels);
+    field("memChannelGBps", c.memChannelGBps);
+    field("infiniteMemBandwidth", c.infiniteMemBandwidth);
+    field("globalDirLatency", c.globalDirLatency);
+    field("localDirLatency", c.localDirLatency);
+    field("sparseDirFactor", c.sparseDirFactor);
+    field("sparseDirWays", c.sparseDirWays);
+    field("hopLatency", c.hopLatency);
+    field("linkGBps", c.linkGBps);
+    field("controlPacketBytes", c.controlPacketBytes);
+    field("dataPacketBytes", c.dataPacketBytes);
+    field("infiniteLinkBandwidth", c.infiniteLinkBandwidth);
+    field("zeroHopLatency", c.zeroHopLatency);
+    field("storeQueueEntries", c.storeQueueEntries);
+    field("tlbPageClassification", c.tlbPageClassification);
+    field("tlbTrapPenalty", c.tlbTrapPenalty);
+    return key;
 }
 
 std::uint64_t

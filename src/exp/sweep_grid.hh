@@ -113,6 +113,19 @@ std::string specIdentityKey(const RunSpec &spec);
 std::string gridFingerprint(const std::vector<RunSpec> &specs);
 
 /**
+ * In-process identity of the machine a spec simulates: every
+ * resolved SystemConfig field, the workload's name, seed and trace
+ * content hash, the scale and the warm-up/measure quotas, as
+ * "name=value;" pairs. Two specs with equal keys simulate the same
+ * run, whatever their variant names or axis values, so callers can
+ * simulate each key once. When the design has no DRAM cache
+ * (!cfg.designUsesDramCache()) the DRAM-cache and miss-predictor
+ * fields are left out: no such row can read them. Never persisted:
+ * rows, journals and fingerprints use specIdentityKey.
+ */
+std::string configKey(const RunSpec &spec);
+
+/**
  * Default warm-up quota for @p unscaled: scan-dominated workloads
  * need the rotating partition to cover each socket's DRAM cache
  * before measuring (mirrors the paper's 100M-access warm-up).
@@ -126,7 +139,7 @@ std::uint32_t paperCoresPerSocket(std::uint32_t sockets);
 /**
  * Shrink @p grid to the shared seconds-scale smoke preset (scale
  * 256, 2 cores/socket, short warm-up/measure windows). Used by both
- * `c3d-sweep --quick` and the bench `--quick` flag; figure shapes
+ * `c3d-sweep --quick` and `c3d-paper --quick`; figure shapes
  * are NOT preserved at this scale.
  */
 SweepGrid quickPreset(SweepGrid grid);

@@ -30,7 +30,8 @@ WorkloadProfile::scaled(std::uint32_t factor) const
 
 // --------------------------------------------------------------------
 // Calibrated profiles (footprints are for the full-size machine:
-// 16 MB LLC and 1 GB DRAM cache per socket; see DESIGN.md §4).
+// 16 MB LLC and 1 GB DRAM cache per socket; WorkloadProfile::scaled
+// shrinks them with SystemConfig::scaled).
 // --------------------------------------------------------------------
 
 namespace

@@ -3,7 +3,7 @@
  * Workload abstraction and the synthetic generator that stands in for
  * the paper's PARSEC 3.0 / CloudSuite Pin+Simics traces (§V).
  *
- * The substitution is documented in DESIGN.md §4: the evaluation
+ * The substitution rests on this: the evaluation
  * depends on the workloads' memory-system characteristics -- working
  * set vs cache capacity, shared vs private footprint, read/write mix,
  * producer-consumer communication intensity, temporal locality -- and

@@ -74,54 +74,6 @@ TEST(StatsInfra, HistogramBucketsArePowersOfTwo)
     EXPECT_EQ(h.bucket(11), 1u);
 }
 
-TEST(StatsInfra, PercentileEdgeCasesAreDefined)
-{
-    Histogram h;
-    // Empty histogram: every percentile query returns 0, never NaN
-    // or a crash (a histogram nobody sampled is a normal state).
-    EXPECT_EQ(h.percentile(50), 0u);
-    EXPECT_EQ(h.percentile(0), 0u);
-    EXPECT_EQ(h.percentile(100), 0u);
-
-    // Single sample: every percentile IS that sample.
-    h.sample(37);
-    EXPECT_EQ(h.percentile(0), 37u);
-    EXPECT_EQ(h.percentile(50), 37u);
-    EXPECT_EQ(h.percentile(99), 37u);
-    EXPECT_EQ(h.percentile(100), 37u);
-
-    // Out-of-range p clamps to min/max.
-    h.sample(100);
-    EXPECT_EQ(h.percentile(-5), 37u);
-    EXPECT_EQ(h.percentile(250), 100u);
-}
-
-TEST(StatsInfra, PercentileTracksDistribution)
-{
-    Histogram h;
-    // 100 samples of 8 and one of 4096: p50 sits in the 8-bucket,
-    // p99 below the outlier, p100 at it.
-    for (int i = 0; i < 100; ++i)
-        h.sample(8);
-    h.sample(4096);
-    const std::uint64_t p50 = h.percentile(50);
-    EXPECT_GE(p50, 8u);
-    EXPECT_LT(p50, 16u);
-    EXPECT_LT(h.percentile(99), 4096u);
-    EXPECT_EQ(h.percentile(100), 4096u);
-
-    // Results never leave [min, max].
-    EXPECT_GE(h.percentile(1), h.min());
-    EXPECT_LE(h.percentile(99.9), h.max());
-
-    // All-zero samples stay at zero.
-    Histogram z;
-    z.sample(0);
-    z.sample(0);
-    EXPECT_EQ(z.percentile(50), 0u);
-    EXPECT_EQ(z.percentile(99), 0u);
-}
-
 TEST(StatsInfra, UnregisteredCounterStandsAlone)
 {
     Counter c;

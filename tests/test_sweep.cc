@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -118,6 +119,200 @@ TEST(SweepGrid, SeedOverrideAndAutoWarmup)
     WorkloadProfile scan = profileByName("streamcluster");
     EXPECT_GT(exp::autoWarmupOps(scan), exp::autoWarmupOps(
         profileByName("facesim")));
+}
+
+/** One SystemConfig field, changed to a value its default is not. */
+struct FieldChange
+{
+    const char *name;
+    std::function<void(SystemConfig &)> change;
+    bool dramCacheOnly; //!< read only by the DRAM cache or predictor
+};
+
+/** Every SystemConfig field; a new field must join this list. */
+const std::vector<FieldChange> &
+everyConfigField()
+{
+    static const std::vector<FieldChange> fields = {
+        {"numSockets", [](SystemConfig &c) { c.numSockets = 2; }, false},
+        {"coresPerSocket", [](SystemConfig &c) { c.coresPerSocket = 3; },
+         false},
+        {"design", [](SystemConfig &c) { c.design = Design::FullDir; },
+         false},
+        {"mapping",
+         [](SystemConfig &c) { c.mapping = MappingPolicy::Interleave; },
+         false},
+        {"l1Bytes", [](SystemConfig &c) { c.l1Bytes *= 2; }, false},
+        {"l1Ways", [](SystemConfig &c) { c.l1Ways *= 2; }, false},
+        {"l1Latency", [](SystemConfig &c) { ++c.l1Latency; }, false},
+        {"llcBytes", [](SystemConfig &c) { c.llcBytes *= 2; }, false},
+        {"llcWays", [](SystemConfig &c) { c.llcWays *= 2; }, false},
+        {"llcTagLatency", [](SystemConfig &c) { ++c.llcTagLatency; },
+         false},
+        {"llcDataLatency", [](SystemConfig &c) { ++c.llcDataLatency; },
+         false},
+        {"hasDramCache", [](SystemConfig &c) { c.hasDramCache = false; },
+         true},
+        {"dramCacheBytes", [](SystemConfig &c) { c.dramCacheBytes *= 2; },
+         true},
+        {"dramCacheLatency",
+         [](SystemConfig &c) { ++c.dramCacheLatency; }, true},
+        {"dramCacheChannels",
+         [](SystemConfig &c) { ++c.dramCacheChannels; }, true},
+        {"dramCacheChannelGBps",
+         [](SystemConfig &c) { c.dramCacheChannelGBps += 0.1; }, true},
+        {"missPredictorEnabled",
+         [](SystemConfig &c) { c.missPredictorEnabled = false; }, true},
+        {"missPredictorExact",
+         [](SystemConfig &c) { c.missPredictorExact = false; }, true},
+        {"missPredictorEntries",
+         [](SystemConfig &c) { c.missPredictorEntries *= 2; }, true},
+        {"missPredictorLatency",
+         [](SystemConfig &c) { ++c.missPredictorLatency; }, true},
+        {"missPredictorRegionBytes",
+         [](SystemConfig &c) { c.missPredictorRegionBytes *= 2; }, true},
+        {"memLatency", [](SystemConfig &c) { ++c.memLatency; }, false},
+        {"memChannels", [](SystemConfig &c) { ++c.memChannels; }, false},
+        {"memChannelGBps",
+         [](SystemConfig &c) { c.memChannelGBps += 0.1; }, false},
+        {"infiniteMemBandwidth",
+         [](SystemConfig &c) { c.infiniteMemBandwidth = true; }, false},
+        {"globalDirLatency",
+         [](SystemConfig &c) { ++c.globalDirLatency; }, false},
+        {"localDirLatency", [](SystemConfig &c) { ++c.localDirLatency; },
+         false},
+        {"sparseDirFactor", [](SystemConfig &c) { ++c.sparseDirFactor; },
+         false},
+        {"sparseDirWays", [](SystemConfig &c) { c.sparseDirWays *= 2; },
+         false},
+        {"hopLatency", [](SystemConfig &c) { ++c.hopLatency; }, false},
+        {"linkGBps", [](SystemConfig &c) { c.linkGBps += 0.1; }, false},
+        {"controlPacketBytes",
+         [](SystemConfig &c) { ++c.controlPacketBytes; }, false},
+        {"dataPacketBytes", [](SystemConfig &c) { ++c.dataPacketBytes; },
+         false},
+        {"infiniteLinkBandwidth",
+         [](SystemConfig &c) { c.infiniteLinkBandwidth = true; }, false},
+        {"zeroHopLatency",
+         [](SystemConfig &c) { c.zeroHopLatency = true; }, false},
+        {"storeQueueEntries",
+         [](SystemConfig &c) { ++c.storeQueueEntries; }, false},
+        {"tlbPageClassification",
+         [](SystemConfig &c) { c.tlbPageClassification = true; }, false},
+        {"tlbTrapPenalty", [](SystemConfig &c) { ++c.tlbTrapPenalty; },
+         false},
+    };
+    return fields;
+}
+
+TEST(ConfigKey, EveryConfigFieldChangesTheKey)
+{
+    // A field added to SystemConfig changes its size (or fills a
+    // padding hole this guard cannot see): add it to configKey and
+    // to everyConfigField(), then update the size here.
+    EXPECT_EQ(sizeof(SystemConfig), 240u)
+        << "SystemConfig changed: extend exp::configKey and "
+           "everyConfigField()";
+    EXPECT_EQ(everyConfigField().size(), 38u);
+
+    exp::SweepGrid grid = smallGrid();
+    grid.workloads.resize(1);
+    grid.designs = {Design::C3D};
+    const exp::RunSpec spec = grid.expand().at(0);
+    const std::string key = exp::configKey(spec);
+    for (const FieldChange &f : everyConfigField()) {
+        exp::RunSpec changed = spec;
+        f.change(changed.cfg);
+        EXPECT_NE(exp::configKey(changed), key) << f.name;
+    }
+}
+
+TEST(ConfigKey, BaselineKeyOmitsDramCacheFields)
+{
+    exp::SweepGrid grid = smallGrid();
+    grid.workloads.resize(1);
+    grid.designs = {Design::Baseline};
+    const exp::RunSpec spec = grid.expand().at(0);
+    const std::string key = exp::configKey(spec);
+    for (const FieldChange &f : everyConfigField()) {
+        exp::RunSpec changed = spec;
+        f.change(changed.cfg);
+        if (f.dramCacheOnly) {
+            EXPECT_EQ(exp::configKey(changed), key) << f.name;
+        } else {
+            EXPECT_NE(exp::configKey(changed), key) << f.name;
+        }
+    }
+}
+
+TEST(ConfigKey, RunParametersChangeTheKeyButLabelsDoNot)
+{
+    exp::SweepGrid grid = smallGrid();
+    grid.workloads.resize(1);
+    const exp::RunSpec spec = grid.expand().at(0);
+    const std::string key = exp::configKey(spec);
+
+    std::vector<std::function<void(exp::RunSpec &)>> run_changes = {
+        [](exp::RunSpec &s) { s.profile = profileByName("canneal"); },
+        [](exp::RunSpec &s) { ++s.profile.seed; },
+        [](exp::RunSpec &s) { s.profile.traceHash = 0x1234; },
+        [](exp::RunSpec &s) { s.scale *= 2; },
+        [](exp::RunSpec &s) { ++s.warmupOps; },
+        [](exp::RunSpec &s) { ++s.measureOps; },
+    };
+    for (std::size_t i = 0; i < run_changes.size(); ++i) {
+        exp::RunSpec changed = spec;
+        run_changes[i](changed);
+        EXPECT_NE(exp::configKey(changed), key) << "change " << i;
+    }
+
+    // Row labels and axis positions are not the machine.
+    exp::RunSpec relabeled = spec;
+    relabeled.index = 7;
+    relabeled.variantIdx = 3;
+    relabeled.variantName = "renamed";
+    relabeled.dramCacheMb = 1024; // the label; cfg holds the capacity
+    EXPECT_EQ(exp::configKey(relabeled), key);
+}
+
+TEST(ConfigKey, BaselineRowsIgnoreDramCacheSettings)
+{
+    // The fact the key's collapse rests on: a baseline machine has no
+    // DRAM cache, so no DRAM-cache setting can change its row.
+    setQuiet(true);
+    exp::SweepGrid grid = smallGrid();
+    grid.designs = {Design::Baseline};
+    grid.variants = {
+        {"default", nullptr},
+        {"256MB", [](SystemConfig &c) { c.dramCacheBytes = 256ull << 20; }},
+        {"30ns",
+         [](SystemConfig &c) { c.dramCacheLatency = nsToTicks(30); }},
+        {"counting",
+         [](SystemConfig &c) { c.missPredictorExact = false; }},
+        {"no-predictor",
+         [](SystemConfig &c) { c.missPredictorEnabled = false; }},
+    };
+    const std::vector<exp::RunSpec> specs = grid.expand();
+    for (std::size_t i = 1; i < specs.size(); ++i) {
+        if (specs[i].workloadIdx == specs[0].workloadIdx) {
+            EXPECT_EQ(exp::configKey(specs[i]), exp::configKey(specs[0]))
+                << specs[i].variantName;
+        }
+    }
+
+    const exp::ResultTable table = exp::SweepEngine(2).run(grid);
+    ASSERT_EQ(table.size(), grid.size());
+    for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+        exp::ResultRow reference = *table.find(w, 0);
+        reference.variant = "";
+        for (std::size_t v = 1; v < grid.variants.size(); ++v) {
+            exp::ResultRow row = *table.find(w, v);
+            row.variant = "";
+            EXPECT_EQ(exp::ResultTable::rowToJson(row),
+                      exp::ResultTable::rowToJson(reference))
+                << grid.variants[v].name;
+        }
+    }
 }
 
 TEST(SweepEngine, DeterministicAcrossWorkerCounts)

@@ -1,16 +1,16 @@
 /**
  * @file
- * bench-smoke: run a benchmark binary and assert that its stdout is
+ * bench-smoke: run a command and assert that its stdout is
  * non-empty, well-formed JSON.
  *
  * Usage:  bench-smoke <mode> <binary> [args...]
  *
  * Modes:
  *   table      stdout must parse as the current c3d-sweep result schema
- *              and contain at least one row (sweep-engine benches).
+ *              and contain at least one row (c3d-paper's figures).
  *   json       stdout must parse as any non-empty JSON value
- *              (benches with their own schema: google-benchmark,
- *              analytic tables).
+ *              (tools with their own schema: bench-report, the
+ *              analytic dir-cost table).
  *   sweep-cli  <binary> is the c3d-sweep tool: exercise the
  *              distributed-execution CLI end to end (whole run vs
  *              --shard x3 + merge vs partial --journal + --resume)
@@ -22,7 +22,7 @@
  *              journal against a modified trace fails loudly.
  *
  * Exit status 0 on success; 1 with a diagnostic on any failure. The
- * CTest smoke suite registers one invocation per bench binary.
+ * CTest smoke suite registers one invocation per c3d-paper figure.
  */
 
 #include <cstdio>
