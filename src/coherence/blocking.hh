@@ -69,7 +69,7 @@ class BlockingTable
         }
         ++conflicts;
         Waiter *w = waiters.acquire();
-        w->start = std::forward<F>(start);
+        w->start.emplace(std::forward<F>(start));
         if (lock->tail)
             lock->tail->next = w;
         else

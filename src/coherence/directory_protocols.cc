@@ -28,12 +28,16 @@ DirectoryProtocol::DirectoryProtocol(Machine &machine, StatGroup *stats,
         }
     }
 
-    readsFromMemory.init(stats, "proto.reads_from_memory",
-                         "GetS served by home memory");
-    readsFromOwner.init(stats, "proto.reads_from_owner",
-                        "GetS served by a remote owner socket");
-    writesServedByOwner.init(stats, "proto.writes_from_owner",
-                             "GetX served by a remote owner socket");
+    dirStats.resize(c.numSockets);
+    for (DirStats &d : dirStats) {
+        d.readsFromMemory.init(stats, "proto.reads_from_memory",
+                               "GetS served by home memory");
+        d.readsFromOwner.init(stats, "proto.reads_from_owner",
+                              "GetS served by a remote owner socket");
+        d.writesServedByOwner.init(stats, "proto.writes_from_owner",
+                                   "GetX served by a remote owner "
+                                   "socket");
+    }
 }
 
 void
@@ -44,7 +48,7 @@ DirectoryProtocol::resolveRecall(SocketId home, const DirRecall &recall)
     const SocketMask targets = recall.entry.state == DirState::Modified
         ? bit(recall.entry.owner)
         : sharersOf(recall.entry, InvalidSocket);
-    recallInvs += __builtin_popcountll(targets);
+    proto[home].recallInvs += __builtin_popcountll(targets);
     const Addr addr = recall.addr;
     // Serialize against any transaction in flight for the recalled
     // block (we hold a different block's lock, so this deferred
@@ -93,7 +97,7 @@ DirectoryProtocol::serveFromMemory(SocketId req, SocketId home,
     // (per-link FIFO). Previously the lock rode to the requester and
     // was released there with no return message — a whole extra
     // network traversal of artificial serialization on every miss.
-    ++readsFromMemory;
+    ++dirStats[home].readsFromMemory;
     m.socket(home).memory().read(addr, /*remote=*/req != home,
                                  [this, req, home, addr, slot] {
         sendData(home, req, [this, req, slot] { grant(req, slot); });
@@ -125,7 +129,7 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
         // DRAM-cache copy it retains remains covered by future
         // invalidations.
         const SocketId owner = e->owner;
-        ++fwdRequests;
+        ++proto[home].fwdRequests;
         e->state = DirState::Shared;
         e->sharers = 0;
         e->addSharer(owner);
@@ -136,8 +140,8 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
                                            [this, addr, req, home, owner,
                                             slot](bool dirty) {
                 if (dirty) {
-                    ++dirtyFwds;
-                    ++readsFromOwner;
+                    ++proto[owner].dirtyFwds;
+                    ++dirStats[owner].readsFromOwner;
                     // Reflective writeback keeps memory fresh.
                     sendData(owner, home, [this, home, addr] {
                         m.socket(home).memory().write(addr, false);
@@ -158,7 +162,7 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
                     // the memory being read — the old code read home
                     // memory from the owner's side with zero flight
                     // time.
-                    ++fwdRaces;
+                    ++proto[owner].fwdRaces;
                     sendCtrl(owner, home, [this, req, home, addr, slot] {
                         serveFromMemory(req, home, addr, slot);
                     });
@@ -177,7 +181,7 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
     if (e && e->state == DirState::Modified && e->owner == req) {
         // Writeback race: the requester's PutX is still in flight.
         // Memory semantically receives that data first; serve it.
-        ++fwdRaces;
+        ++proto[home].fwdRaces;
         e->state = DirState::Shared;
         e->sharers = 0;
         e->addSharer(req);
@@ -215,7 +219,8 @@ DirectoryProtocol::getX(SocketId req, Addr addr, bool has_shared_copy,
         homeLocks[home].acquire(addr,
                                 [this, addr, lock_req_at, req, home,
                                  slot, has_shared_copy, private_page] {
-            lockWaitTime.sample(queueAt(home).now() - lock_req_at);
+            proto[home].lockWaitTime.sample(queueAt(home).now() -
+                                            lock_req_at);
             queueAt(home).schedule(cfg().globalDirLatency,
                                    [this, addr, req, home, slot,
                                     has_shared_copy, private_page] {
@@ -262,7 +267,7 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
         // time — the block lock pins the entry until the transfer
         // completes.
         const SocketId owner = e->owner;
-        ++fwdRequests;
+        ++proto[home].fwdRequests;
         e->state = DirState::Modified;
         e->owner = req;
         e->sharers = 0;
@@ -272,8 +277,8 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
                                             [this, addr, req, home,
                                              owner, slot](bool dirty) {
                 if (dirty) {
-                    ++dirtyFwds;
-                    ++writesServedByOwner;
+                    ++proto[owner].dirtyFwds;
+                    ++dirStats[owner].writesServedByOwner;
                     // Data straight to the requester; the unblock
                     // ack releases the block lock at the home only
                     // once the fill has landed (so later probes
@@ -289,7 +294,7 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
                     // back to the home, whose memory serves the
                     // write (the old code read home memory from the
                     // owner's side with zero flight time).
-                    ++fwdRaces;
+                    ++proto[owner].fwdRaces;
                     sendCtrl(owner, home, [this, req, home, addr, slot] {
                         serveFromMemory(req, home, addr, slot);
                     });
@@ -302,7 +307,7 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
     if (e && e->state == DirState::Modified && e->owner == req) {
         // PutX race: requester is re-acquiring a block whose
         // writeback is still queued. Grant directly.
-        ++fwdRaces;
+        ++proto[home].fwdRaces;
         respondWrite(req, home, addr, /*with_data=*/!upgrade, slot);
         return;
     }
@@ -351,7 +356,7 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
             // memory flag at the *requester* and could fire the
             // write completion at the home with zero flight time
             // when the acks were the laggard.
-            ++broadcasts;
+            ++proto[home].broadcasts;
             WriteJoin *join = writeJoins[home].acquire();
             join->addr = addr;
             join->req = req;
@@ -361,7 +366,7 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
             join->acksPending = true;
 
             if (with_data) {
-                ++readsFromMemory;
+                ++dirStats[home].readsFromMemory;
                 m.socket(home).memory().read(
                     addr, req != home, [this, home, join] {
                     join->memPending = false;
@@ -374,14 +379,14 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
                     // Clean DRAM caches can never hold dirty data;
                     // a dirty find here means an on-chip M copy
                     // slipped out of tracking (writeback race).
-                    ++fwdRaces;
+                    ++proto[home].fwdRaces;
                 }
                 join->acksPending = false;
                 tryFinish(home, join);
             });
             return;
         }
-        ++broadcastsElided;
+        ++proto[home].broadcastsElided;
     }
     respondWrite(req, home, addr, with_data, slot);
 }

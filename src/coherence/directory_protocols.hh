@@ -110,9 +110,15 @@ class DirectoryProtocol : public ProtocolBase
     std::vector<std::unique_ptr<DirectoryStore>> dirs;
     std::vector<Pool<WriteJoin>> writeJoins;
 
-    Counter readsFromMemory;
-    Counter readsFromOwner;
-    Counter writesServedByOwner;
+    /** Per-socket stats, as ProtocolBase::ProtoStats. */
+    struct alignas(64) DirStats
+    {
+        Counter readsFromMemory;
+        Counter readsFromOwner;
+        Counter writesServedByOwner;
+    };
+    /** dirStats[s]: updated only by events on socket s's queue. */
+    std::vector<DirStats> dirStats;
 };
 
 /** Factory helpers for the four directory-based designs. */

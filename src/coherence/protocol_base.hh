@@ -41,25 +41,33 @@ class ProtocolBase : public GlobalProtocol
             homeLocks[s].init(stats,
                               "proto.home" + std::to_string(s));
         }
-        fwdRequests.init(stats, "proto.forwards",
-                         "requests forwarded to an owner socket");
-        fwdRaces.init(stats, "proto.forward_races",
-                      "forwards that found no copy (writeback race)");
-        invsSent.init(stats, "proto.invalidations",
-                      "invalidation probes sent");
-        broadcasts.init(stats, "proto.broadcasts",
-                        "write misses that broadcast invalidations");
-        broadcastsElided.init(stats, "proto.broadcasts_elided",
-                              "broadcasts skipped via private pages");
-        recallInvs.init(stats, "proto.recall_invalidations",
-                        "sharers invalidated by directory recalls");
-        dirtyFwds.init(stats, "proto.dirty_forwards",
-                       "dirty blocks supplied by a remote socket");
-        invPhaseTime.init(stats, "proto.inv_phase_time",
-                          "invalidation fan-out ticks (send to all-"
-                          "acked)");
-        lockWaitTime.init(stats, "proto.lock_wait_time",
-                          "ticks a request waited for the block lock");
+        proto.resize(m.numSockets());
+        for (ProtoStats &p : proto) {
+            p.fwdRequests.init(stats, "proto.forwards",
+                               "requests forwarded to an owner socket");
+            p.fwdRaces.init(stats, "proto.forward_races",
+                            "forwards that found no copy (writeback "
+                            "race)");
+            p.invsSent.init(stats, "proto.invalidations",
+                            "invalidation probes sent");
+            p.broadcasts.init(stats, "proto.broadcasts",
+                              "write misses that broadcast "
+                              "invalidations");
+            p.broadcastsElided.init(stats, "proto.broadcasts_elided",
+                                    "broadcasts skipped via private "
+                                    "pages");
+            p.recallInvs.init(stats, "proto.recall_invalidations",
+                              "sharers invalidated by directory "
+                              "recalls");
+            p.dirtyFwds.init(stats, "proto.dirty_forwards",
+                             "dirty blocks supplied by a remote socket");
+            p.invPhaseTime.init(stats, "proto.inv_phase_time",
+                                "invalidation fan-out ticks (send to "
+                                "all-acked)");
+            p.lockWaitTime.init(stats, "proto.lock_wait_time",
+                                "ticks a request waited for the block "
+                                "lock");
+        }
     }
 
   protected:
@@ -120,11 +128,11 @@ class ProtocolBase : public GlobalProtocol
         FanIn *fan = fanIns[home].acquire();
         fan->remaining = __builtin_popcountll(targets);
         fan->phaseStart = queueAt(home).now();
-        fan->done = std::forward<F>(done);
+        fan->done.emplace(std::forward<F>(done));
         for (SocketId t = 0; t < m.numSockets(); ++t) {
             if (!((targets >> t) & 1))
                 continue;
-            ++invsSent;
+            ++proto[home].invsSent;
             sendCtrl(home, t, [this, t, addr, home, fan] {
                 m.socket(t).probeInvalidate(addr,
                                             [this, t, home, fan]
@@ -160,15 +168,27 @@ class ProtocolBase : public GlobalProtocol
     Machine &m;
     std::vector<BlockingTable> homeLocks;
 
-    Counter fwdRequests;
-    Counter fwdRaces;
-    Counter invsSent;
-    Counter broadcasts;
-    Counter broadcastsElided;
-    Counter recallInvs;
-    Counter dirtyFwds;
-    Histogram invPhaseTime;
-    Histogram lockWaitTime;
+    /**
+     * The proto.* stats of one socket, on their own cache lines. A
+     * transaction's events run on several sockets' queues, so each
+     * update goes to the copy of the socket whose queue runs it (the
+     * home, or the owner or target answering a probe): every copy
+     * has one writer, and StatGroup sums the copies by name.
+     */
+    struct alignas(64) ProtoStats
+    {
+        Counter fwdRequests;
+        Counter fwdRaces;
+        Counter invsSent;
+        Counter broadcasts;
+        Counter broadcastsElided;
+        Counter recallInvs;
+        Counter dirtyFwds;
+        Histogram invPhaseTime;
+        Histogram lockWaitTime;
+    };
+    /** proto[s]: updated only by events on socket s's queue. */
+    std::vector<ProtoStats> proto;
 
   private:
     using FanInDone = InlineFunction<void(bool)>;
@@ -190,7 +210,8 @@ class ProtocolBase : public GlobalProtocol
             fan->sawDirty = true;
         if (--fan->remaining != 0)
             return;
-        invPhaseTime.sample(queueAt(home).now() - fan->phaseStart);
+        proto[home].invPhaseTime.sample(queueAt(home).now() -
+                                        fan->phaseStart);
         const bool saw_dirty = fan->sawDirty;
         FanInDone done = std::move(fan->done);
         fanIns[home].release(fan);

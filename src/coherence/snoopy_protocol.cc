@@ -6,9 +6,12 @@ namespace c3d
 SnoopyProtocol::SnoopyProtocol(Machine &machine, StatGroup *stats)
     : ProtocolBase(machine, stats)
 {
-    snoops.init(stats, "proto.snoops", "snoop probes sent");
-    snoopHitsDirty.init(stats, "proto.snoop_dirty_hits",
-                        "snoops that supplied dirty data");
+    snoopStats.resize(m.numSockets());
+    for (SnoopStats &s : snoopStats) {
+        s.snoops.init(stats, "proto.snoops", "snoop probes sent");
+        s.dirtyHits.init(stats, "proto.snoop_dirty_hits",
+                         "snoops that supplied dirty data");
+    }
     joins.resize(m.numSockets());
 }
 
@@ -106,7 +109,7 @@ SnoopyProtocol::runBroadcast(SnoopJoin *join, bool has_shared_copy)
     for (SocketId t = 0; t < m.numSockets(); ++t) {
         if (!((targets >> t) & 1))
             continue;
-        ++snoops;
+        ++snoopStats[home].snoops;
         // Probes fan out from the ordering point; a write's probes
         // invalidate, a read's downgrade.
         sendCtrl(home, t, [this, addr, join, t, is_write] {
@@ -136,8 +139,8 @@ SnoopyProtocol::snoopAnswered(SocketId t, SnoopJoin *join,
     }
     // Dirty data goes straight to the requester; memory is refreshed
     // reflectively.
-    ++snoopHitsDirty;
-    ++dirtyFwds;
+    ++snoopStats[t].dirtyHits;
+    ++proto[t].dirtyFwds;
     const Addr addr = join->addr;
     const SocketId hm = m.homeOf(addr, req);
     sendData(t, hm, [this, hm, addr] {

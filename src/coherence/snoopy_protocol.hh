@@ -91,8 +91,14 @@ class SnoopyProtocol : public ProtocolBase
     /** Per-requester join pools (see SnoopJoin). */
     std::vector<Pool<SnoopJoin>> joins;
 
-    Counter snoops;
-    Counter snoopHitsDirty;
+    /** Per-socket stats, as ProtocolBase::ProtoStats. */
+    struct alignas(64) SnoopStats
+    {
+        Counter snoops;
+        Counter dirtyHits;
+    };
+    /** snoopStats[s]: updated only by events on socket s's queue. */
+    std::vector<SnoopStats> snoopStats;
 };
 
 std::unique_ptr<GlobalProtocol>

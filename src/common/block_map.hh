@@ -5,11 +5,14 @@
  * The coherence path keeps several small per-block tables (locked
  * blocks at a home, outstanding GetS at a socket, invalidations in
  * flight, the idealized full directory) whose entries come and go at
- * transaction rates. A node-based map pays a heap allocation per
- * insert; this one stores entries in one flat array with linear
- * probing, so a steady-state insert/erase allocates nothing. The
- * array grows (doubling) when it passes half full and never shrinks,
- * so its size is the high-water mark of live entries.
+ * transaction rates, and the page table maps every touched page). A
+ * node-based map pays a heap allocation per insert; this one keeps
+ * keys and values in two flat arrays with linear probing, so a
+ * steady-state insert/erase allocates nothing. Probing reads only
+ * the packed keys, and a small value (a page's one-byte home socket)
+ * costs its own size per slot, not a key-aligned padded one. The
+ * arrays grow (doubling) when they pass half full and never shrink,
+ * so their size is the high-water mark of live entries.
  *
  * Erase uses backward-shift deletion: later entries of the probe run
  * slide back into the hole, so no tombstones accumulate and lookups
@@ -43,12 +46,12 @@ class BlockMap
     V *
     find(Key key)
     {
-        if (slots.empty())
+        if (keys.empty())
             return nullptr;
         for (std::size_t i = home(key);; i = (i + 1) & mask()) {
-            if (slots[i].key == key)
-                return &slots[i].value;
-            if (slots[i].key == Empty)
+            if (keys[i] == key)
+                return &values[i];
+            if (keys[i] == Empty)
                 return nullptr;
         }
     }
@@ -67,45 +70,46 @@ class BlockMap
     emplace(Key key)
     {
         c3d_assert(key != Empty, "BlockMap key collides with Empty");
-        if ((live + 1) * 2 > slots.size())
+        if ((live + 1) * 2 > keys.size())
             grow();
         std::size_t i = home(key);
-        for (; slots[i].key != Empty; i = (i + 1) & mask()) {
-            if (slots[i].key == key)
-                return {&slots[i].value, false};
+        for (; keys[i] != Empty; i = (i + 1) & mask()) {
+            if (keys[i] == key)
+                return {&values[i], false};
         }
-        slots[i].key = key;
-        slots[i].value = V{};
+        keys[i] = key;
+        values[i] = V{};
         ++live;
-        return {&slots[i].value, true};
+        return {&values[i], true};
     }
 
     /** Remove @p key's entry; a no-op when absent. */
     void
     erase(Key key)
     {
-        if (slots.empty())
+        if (keys.empty())
             return;
         std::size_t hole = home(key);
-        while (slots[hole].key != key) {
-            if (slots[hole].key == Empty)
+        while (keys[hole] != key) {
+            if (keys[hole] == Empty)
                 return;
             hole = (hole + 1) & mask();
         }
         // Backward shift: an entry further along the run moves into
         // the hole unless its home lies cyclically in (hole, j].
-        for (std::size_t j = (hole + 1) & mask(); slots[j].key != Empty;
+        for (std::size_t j = (hole + 1) & mask(); keys[j] != Empty;
              j = (j + 1) & mask()) {
-            const std::size_t h = home(slots[j].key);
+            const std::size_t h = home(keys[j]);
             const bool stays = hole < j ? (hole < h && h <= j)
                                         : (hole < h || h <= j);
             if (stays)
                 continue;
-            slots[hole] = std::move(slots[j]);
+            keys[hole] = keys[j];
+            values[hole] = std::move(values[j]);
             hole = j;
         }
-        slots[hole].key = Empty;
-        slots[hole].value = V{};
+        keys[hole] = Empty;
+        values[hole] = V{};
         --live;
     }
 
@@ -115,13 +119,7 @@ class BlockMap
     static constexpr Key Empty = ~Key(0);
     static constexpr std::size_t MinSlots = 16;
 
-    struct Slot
-    {
-        Key key = Empty;
-        V value{};
-    };
-
-    std::size_t mask() const { return slots.size() - 1; }
+    std::size_t mask() const { return keys.size() - 1; }
 
     /** Fibonacci hashing: block numbers are dense, so mix them. */
     std::size_t
@@ -134,21 +132,27 @@ class BlockMap
     void
     grow()
     {
-        std::vector<Slot> old = std::move(slots);
-        const std::size_t n = old.empty() ? MinSlots : old.size() * 2;
-        slots = std::vector<Slot>(n);
+        std::vector<Key> oldKeys = std::move(keys);
+        std::vector<V> oldValues = std::move(values);
+        const std::size_t n =
+            oldKeys.empty() ? MinSlots : oldKeys.size() * 2;
+        keys.assign(n, Empty);
+        values = std::vector<V>(n);
         shift = 64 - static_cast<unsigned>(__builtin_ctzll(n));
-        for (Slot &s : old) {
-            if (s.key == Empty)
+        for (std::size_t o = 0; o < oldKeys.size(); ++o) {
+            if (oldKeys[o] == Empty)
                 continue;
-            std::size_t i = home(s.key);
-            while (slots[i].key != Empty)
+            std::size_t i = home(oldKeys[o]);
+            while (keys[i] != Empty)
                 i = (i + 1) & mask();
-            slots[i] = std::move(s);
+            keys[i] = oldKeys[o];
+            values[i] = std::move(oldValues[o]);
         }
     }
 
-    std::vector<Slot> slots;
+    /** keys[i] and values[i] form slot i; an Empty key is a free slot. */
+    std::vector<Key> keys;
+    std::vector<V> values;
     unsigned shift = 64;
     std::size_t live = 0;
 };

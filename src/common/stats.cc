@@ -1,6 +1,7 @@
 #include "common/stats.hh"
 
 #include <iomanip>
+#include <unordered_map>
 
 namespace c3d
 {
@@ -26,12 +27,19 @@ Histogram::init(StatGroup *group, std::string name, std::string desc)
 std::uint64_t
 StatGroup::valueOf(const std::string &name) const
 {
+    bool found = false;
+    std::uint64_t sum = 0;
     for (const auto *c : counters) {
-        if (c->name() == name)
-            return c->value();
+        if (c->name() == name) {
+            found = true;
+            sum += c->value();
+        }
     }
-    c3d_fatal("no counter named '%s' in stat group '%s'", name.c_str(),
-              groupName.c_str());
+    if (!found) {
+        c3d_fatal("no counter named '%s' in stat group '%s'",
+                  name.c_str(), groupName.c_str());
+    }
+    return sum;
 }
 
 bool
@@ -55,22 +63,37 @@ StatGroup::sumMatching(const std::string &substring) const
     return sum;
 }
 
-const Histogram *
+std::optional<Histogram>
 StatGroup::histogramOf(const std::string &name) const
 {
+    std::optional<Histogram> merged;
     for (const auto *h : histograms) {
-        if (h->name() == name)
-            return h;
+        if (h->name() != name)
+            continue;
+        if (merged)
+            merged->merge(*h);
+        else
+            merged = *h;
     }
-    return nullptr;
+    return merged;
 }
 
 void
 StatGroup::dump(std::ostream &os) const
 {
+    // A name's instances print once, summed, where the first one
+    // was registered.
+    std::vector<const Counter *> firsts;
+    std::unordered_map<std::string, std::uint64_t> sums;
     for (const auto *c : counters) {
+        auto [it, fresh] = sums.try_emplace(c->name(), 0);
+        if (fresh)
+            firsts.push_back(c);
+        it->second += c->value();
+    }
+    for (const auto *c : firsts) {
         os << std::left << std::setw(48) << c->name() << " "
-           << std::right << std::setw(16) << c->value();
+           << std::right << std::setw(16) << sums[c->name()];
         if (!c->desc().empty())
             os << "  # " << c->desc();
         os << "\n";

@@ -11,10 +11,10 @@
 #ifndef C3DSIM_COMMON_STATS_HH
 #define C3DSIM_COMMON_STATS_HH
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -29,163 +29,99 @@ class StatGroup;
 /**
  * A named 64-bit event counter.
  *
- * Increments are relaxed atomics so stats can be bumped from any
- * kernel thread (the parallel per-socket kernel increments shared
- * protocol counters from several workers). Addition commutes, so the
- * final value is independent of thread interleaving — the property
- * the byte-identity harness relies on. Counters are movable (not
- * copyable) because several components hold them in vectors sized at
- * construction time.
+ * A plain integer: every counter has exactly one writer at a time.
+ * Under the parallel per-socket kernel a socket's (or core's) stats
+ * are written only by events on that socket's queue, and the cell
+ * barrier orders one cell's writes before the next cell and before
+ * any read between cells. A stat that events on several sockets'
+ * queues would bump keeps one instance per socket, all registered
+ * under one name; StatGroup reads same-named instances as one summed
+ * stat (docs/perf.md, "The concurrency contract").
  */
 class Counter
 {
   public:
-    Counter() = default;
-
-    Counter(Counter &&other) noexcept
-        : statName(std::move(other.statName)),
-          statDesc(std::move(other.statDesc)),
-          count(other.count.load(std::memory_order_relaxed))
-    {}
-
-    Counter &
-    operator=(Counter &&other) noexcept
-    {
-        statName = std::move(other.statName);
-        statDesc = std::move(other.statDesc);
-        count.store(other.count.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-        return *this;
-    }
-
     /** Register this counter under @p name in @p group. */
     void init(StatGroup *group, std::string name, std::string desc = "");
 
     Counter &
     operator++()
     {
-        count.fetch_add(1, std::memory_order_relaxed);
+        ++count;
         return *this;
     }
 
     Counter &
     operator+=(std::uint64_t n)
     {
-        count.fetch_add(n, std::memory_order_relaxed);
+        count += n;
         return *this;
     }
 
-    std::uint64_t
-    value() const
-    {
-        return count.load(std::memory_order_relaxed);
-    }
-
-    void reset() { count.store(0, std::memory_order_relaxed); }
+    std::uint64_t value() const { return count; }
+    void reset() { count = 0; }
     const std::string &name() const { return statName; }
     const std::string &desc() const { return statDesc; }
 
   private:
     std::string statName;
     std::string statDesc;
-    std::atomic<std::uint64_t> count{0};
+    std::uint64_t count = 0;
 };
 
 /**
  * A histogram with fixed power-of-two bucketing of sample values.
- *
- * Like Counter, sampling uses relaxed atomics (bucket counts and sums
- * commute; min/max converge to the same extremum under any
- * interleaving via CAS loops), so the aggregate is deterministic no
- * matter which kernel thread recorded each sample.
+ * Plain integers under the same single-writer rule as Counter.
  */
 class Histogram
 {
   public:
-    Histogram() = default;
-
-    Histogram(Histogram &&other) noexcept
-        : statName(std::move(other.statName)),
-          statDesc(std::move(other.statDesc)),
-          samples(other.samples.load(std::memory_order_relaxed)),
-          total(other.total.load(std::memory_order_relaxed)),
-          minValue(other.minValue.load(std::memory_order_relaxed)),
-          maxValue(other.maxValue.load(std::memory_order_relaxed))
-    {
-        for (std::size_t b = 0; b < buckets.size(); ++b)
-            buckets[b].store(
-                other.buckets[b].load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    }
-
     void init(StatGroup *group, std::string name, std::string desc = "");
 
     void
     sample(std::uint64_t value)
     {
-        samples.fetch_add(1, std::memory_order_relaxed);
-        total.fetch_add(value, std::memory_order_relaxed);
-        std::uint64_t lo = minValue.load(std::memory_order_relaxed);
-        while (value < lo &&
-               !minValue.compare_exchange_weak(
-                   lo, value, std::memory_order_relaxed)) {
-        }
-        std::uint64_t hi = maxValue.load(std::memory_order_relaxed);
-        while (value > hi &&
-               !maxValue.compare_exchange_weak(
-                   hi, value, std::memory_order_relaxed)) {
-        }
-        buckets[bucketOf(value)].fetch_add(1,
-                                           std::memory_order_relaxed);
+        ++samples;
+        total += value;
+        minValue = std::min(minValue, value);
+        maxValue = std::max(maxValue, value);
+        ++buckets[bucketOf(value)];
     }
 
-    std::uint64_t
-    count() const
+    /** Fold @p other's samples into this histogram. */
+    void
+    merge(const Histogram &other)
     {
-        return samples.load(std::memory_order_relaxed);
+        samples += other.samples;
+        total += other.total;
+        minValue = std::min(minValue, other.minValue);
+        maxValue = std::max(maxValue, other.maxValue);
+        for (std::size_t b = 0; b < buckets.size(); ++b)
+            buckets[b] += other.buckets[b];
     }
 
-    std::uint64_t
-    sum() const
-    {
-        return total.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    min() const
-    {
-        return count() ? minValue.load(std::memory_order_relaxed) : 0;
-    }
-
-    std::uint64_t
-    max() const
-    {
-        return maxValue.load(std::memory_order_relaxed);
-    }
+    std::uint64_t count() const { return samples; }
+    std::uint64_t sum() const { return total; }
+    std::uint64_t min() const { return samples ? minValue : 0; }
+    std::uint64_t max() const { return maxValue; }
 
     double
     mean() const
     {
-        const std::uint64_t n = count();
-        return n ? static_cast<double>(sum()) / n : 0.0;
+        return samples ? static_cast<double>(total) / samples : 0.0;
     }
 
     /** Count of samples in power-of-two bucket @p idx. */
-    std::uint64_t
-    bucket(unsigned idx) const
-    {
-        return buckets.at(idx).load(std::memory_order_relaxed);
-    }
+    std::uint64_t bucket(unsigned idx) const { return buckets.at(idx); }
 
     void
     reset()
     {
-        samples.store(0, std::memory_order_relaxed);
-        total.store(0, std::memory_order_relaxed);
-        minValue.store(~std::uint64_t(0), std::memory_order_relaxed);
-        maxValue.store(0, std::memory_order_relaxed);
-        for (auto &b : buckets)
-            b.store(0, std::memory_order_relaxed);
+        samples = 0;
+        total = 0;
+        minValue = ~std::uint64_t(0);
+        maxValue = 0;
+        buckets.fill(0);
     }
 
     const std::string &name() const { return statName; }
@@ -201,13 +137,12 @@ class Histogram
 
     std::string statName;
     std::string statDesc;
-    std::atomic<std::uint64_t> samples{0};
-    std::atomic<std::uint64_t> total{0};
-    // Sentinel: the first sample always wins the CAS race, so the
-    // min is interleaving-independent. min() masks the sentinel.
-    std::atomic<std::uint64_t> minValue{~std::uint64_t(0)};
-    std::atomic<std::uint64_t> maxValue{0};
-    std::array<std::atomic<std::uint64_t>, 64> buckets{};
+    std::uint64_t samples = 0;
+    std::uint64_t total = 0;
+    // Sentinel until the first sample; min() masks it.
+    std::uint64_t minValue = ~std::uint64_t(0);
+    std::uint64_t maxValue = 0;
+    std::array<std::uint64_t, 64> buckets{};
 };
 
 /**
@@ -215,7 +150,9 @@ class Histogram
  *
  * The group does not own the stats; objects embed their stats and
  * register them at init time (so stats live exactly as long as the
- * simulated object that produces them).
+ * simulated object that produces them). Several stats registered
+ * under one name (a per-socket stat's instances) read as one stat:
+ * valueOf(), sumMatching(), histogramOf() and dump() see their sum.
  */
 class StatGroup
 {
@@ -258,7 +195,10 @@ class StatGroup
             h->reset();
     }
 
-    /** Value of the counter registered as @p name; fatal if absent. */
+    /**
+     * Summed value of the counters registered as @p name; fatal if
+     * there are none.
+     */
     std::uint64_t valueOf(const std::string &name) const;
 
     /** True if a counter named @p name is registered. */
@@ -267,11 +207,17 @@ class StatGroup
     /** Sum of all counters whose name contains @p substring. */
     std::uint64_t sumMatching(const std::string &substring) const;
 
-    /** Dump "name value # desc" lines, gem5 stats.txt style. */
+    /**
+     * Dump "name value # desc" lines, gem5 stats.txt style: one line
+     * per name, in first-registration order.
+     */
     void dump(std::ostream &os) const;
 
-    /** Histogram registered as @p name; nullptr when absent. */
-    const Histogram *histogramOf(const std::string &name) const;
+    /**
+     * The histograms registered as @p name, merged into one; empty
+     * when there are none.
+     */
+    std::optional<Histogram> histogramOf(const std::string &name) const;
 
     const std::string &name() const { return groupName; }
     const std::vector<Counter *> &allCounters() const { return counters; }

@@ -1,5 +1,7 @@
 #include "interconnect/interconnect.hh"
 
+#include <utility>
+
 #include "sim/slab.hh"
 
 namespace c3d
@@ -13,13 +15,50 @@ namespace
  * Nesting the Callback inside the hop event directly would overflow
  * the inline-capture budget (a Callback is larger than InlineBytes),
  * so multi-hop packets park it in a slab node and the hop event
- * carries only the node pointer. The node may be freed by a
+ * carries only an owning handle on the node. The node may be freed by a
  * different kernel thread than the one that allocated it (the packet
  * moved sockets); the slab is built for that.
  */
 struct HopNode
 {
     EventQueue::Callback cb;
+};
+
+/**
+ * The hop event's owning handle on its HopNode: the node (and the
+ * continuation in it) is freed when the event is destroyed -- after
+ * it has run, or unrun when a queue is reset or torn down with the
+ * packet still in flight -- never leaked.
+ */
+class HopHandle
+{
+  public:
+    explicit HopHandle(EventQueue::Callback &&cb)
+        : node(static_cast<HopNode *>(slab::alloc(sizeof(HopNode))))
+    {
+        ::new (node) HopNode{std::move(cb)};
+    }
+
+    HopHandle(HopHandle &&other) noexcept
+        : node(std::exchange(other.node, nullptr))
+    {}
+
+    HopHandle(const HopHandle &) = delete;
+    HopHandle &operator=(const HopHandle &) = delete;
+    HopHandle &operator=(HopHandle &&) = delete;
+
+    ~HopHandle()
+    {
+        if (node) {
+            node->~HopNode();
+            slab::free(node, sizeof(HopNode));
+        }
+    }
+
+    EventQueue::Callback &cb() const { return node->cb; }
+
+  private:
+    HopNode *node;
 };
 
 /**
@@ -63,15 +102,19 @@ Interconnect::Interconnect(QueueRouter &rt, const SystemConfig &cfg,
         }
     }
 
-    packets.init(stats, "noc.packets", "inter-socket packets sent");
-    ctrlBytes.init(stats, "noc.control_bytes",
-                   "inter-socket control bytes");
-    dataBytesStat.init(stats, "noc.data_bytes",
-                       "inter-socket data bytes");
-    hopTraversals.init(stats, "noc.hop_traversals",
-                       "total link traversals");
-    linkBytes.init(stats, "noc.link_bytes",
-                   "hop-weighted inter-socket bytes");
+    noc.resize(numSockets);
+    for (NocStats &n : noc) {
+        n.packets.init(stats, "noc.packets",
+                       "inter-socket packets sent");
+        n.ctrlBytes.init(stats, "noc.control_bytes",
+                         "inter-socket control bytes");
+        n.dataBytes.init(stats, "noc.data_bytes",
+                         "inter-socket data bytes");
+        n.hopTraversals.init(stats, "noc.hop_traversals",
+                             "total link traversals");
+        n.linkBytes.init(stats, "noc.link_bytes",
+                         "hop-weighted inter-socket bytes");
+    }
 }
 
 std::uint32_t
@@ -114,7 +157,7 @@ Interconnect::baseLatency(SocketId src, SocketId dst) const
 
 void
 Interconnect::send(SocketId src, SocketId dst, PacketKind kind,
-                   EventQueue::Callback onArrival)
+                   EventQueue::Callback &&onArrival)
 {
     if (src == dst) {
         // Same-socket "delivery": no network involved, but still an
@@ -161,11 +204,12 @@ Interconnect::send(SocketId src, SocketId dst, PacketKind kind,
 
     const std::uint32_t bytes = kind == PacketKind::Data
         ? dataBytesPerPkt : controlBytesPerPkt;
-    ++packets;
+    NocStats &n = noc[src];
+    ++n.packets;
     if (kind == PacketKind::Data)
-        dataBytesStat += bytes;
+        n.dataBytes += bytes;
     else
-        ctrlBytes += bytes;
+        n.ctrlBytes += bytes;
 
     // Walk the path hop by hop. Each link is acquired when the
     // packet actually reaches that hop (store-and-forward), so a
@@ -176,37 +220,29 @@ Interconnect::send(SocketId src, SocketId dst, PacketKind kind,
 
 void
 Interconnect::forwardHop(SocketId at, SocketId dst, std::uint32_t bytes,
-                         EventQueue::Callback onArrival)
+                         EventQueue::Callback &&onArrival)
 {
     c3d_assert(at != dst, "forwardHop with no hop to take");
     const SocketId next = nextOnPath(at, dst);
     Channel &link = links[linkIndex(at, next)];
     const Tick done =
         link.acquire(router.at(at).now(), bytes) + hopLatency;
-    ++hopTraversals;
-    linkBytes += bytes;
+    ++noc[at].hopTraversals;
+    noc[at].linkBytes += bytes;
     if (next == dst) {
         // Final hop: the arrival event IS the user's continuation.
         router.inject(at, dst, done, std::move(onArrival));
         return;
     }
     // Intermediate hop: park the continuation in a slab node so the
-    // hop event itself stays within the inline-capture budget.
-    auto *node = static_cast<HopNode *>(slab::alloc(sizeof(HopNode)));
-    ::new (node) HopNode{std::move(onArrival)};
+    // hop event itself stays within the inline-capture budget. The
+    // continuation is relocated straight from the node into the next
+    // hop; the event's handle frees the emptied node afterwards.
     router.inject(at, next, done,
-                  [this, next, dst, bytes, node] {
-                      EventQueue::Callback cb = std::move(node->cb);
-                      node->~HopNode();
-                      slab::free(node, sizeof(HopNode));
-                      forwardHop(next, dst, bytes, std::move(cb));
+                  [this, next, dst, bytes,
+                   hop = HopHandle(std::move(onArrival))] {
+                      forwardHop(next, dst, bytes, std::move(hop.cb()));
                   });
-}
-
-std::uint64_t
-Interconnect::totalBytes() const
-{
-    return ctrlBytes.value() + dataBytesStat.value();
 }
 
 } // namespace c3d

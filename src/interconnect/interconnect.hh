@@ -41,7 +41,9 @@ enum class PacketKind : std::uint8_t
  * called from the thread executing the source socket `at`. Each
  * directed link's Channel is only ever acquired by events executing
  * at its source endpoint, so channel state needs no locking; the
- * traffic counters are relaxed atomics. Cross-socket delivery goes
+ * traffic counters are kept per socket and bumped in the copy of the
+ * socket the packet is at, so each copy has one writer (StatGroup
+ * sums the copies by name). Cross-socket delivery goes
  * through QueueRouter::inject — the only cross-queue edge — and every
  * injected arrival lands at least one hop latency in the future,
  * which is exactly the lookahead window the cell executor
@@ -63,10 +65,12 @@ class Interconnect
      * it is delivered. @p src may equal @p dst, in which case the
      * delivery is a zero-delay event on src's own queue — never an
      * inline call, so callers can't reenter themselves through a
-     * same-socket response.
+     * same-socket response. A lambda argument is built once, into
+     * the Callback bound here, and relocated from there into its
+     * event.
      */
     void send(SocketId src, SocketId dst, PacketKind kind,
-              EventQueue::Callback onArrival);
+              EventQueue::Callback &&onArrival);
 
     /**
      * Attach the machine's fault injector (testing only; see
@@ -84,14 +88,18 @@ class Interconnect
     Tick baseLatency(SocketId src, SocketId dst) const;
 
     /** Total bytes injected into the network (counted once/packet). */
-    std::uint64_t totalBytes() const;
+    std::uint64_t totalBytes() const { return controlBytes() + dataBytes(); }
 
     /** Hop-weighted bytes: each link traversal charges the packet. */
-    std::uint64_t linkTraversalBytes() const { return linkBytes.value(); }
+    std::uint64_t
+    linkTraversalBytes() const
+    {
+        return sum(&NocStats::linkBytes);
+    }
 
-    std::uint64_t controlBytes() const { return ctrlBytes.value(); }
-    std::uint64_t dataBytes() const { return dataBytesStat.value(); }
-    std::uint64_t packetsSent() const { return packets.value(); }
+    std::uint64_t controlBytes() const { return sum(&NocStats::ctrlBytes); }
+    std::uint64_t dataBytes() const { return sum(&NocStats::dataBytes); }
+    std::uint64_t packetsSent() const { return sum(&NocStats::packets); }
 
   private:
     /** Index of the directed link from @p from toward @p to (1 hop). */
@@ -102,7 +110,30 @@ class Interconnect
 
     /** Store-and-forward one hop; recurses until delivery. */
     void forwardHop(SocketId at, SocketId dst, std::uint32_t bytes,
-                    EventQueue::Callback onArrival);
+                    EventQueue::Callback &&onArrival);
+
+    /**
+     * One socket's traffic counters, on its own cache lines: only
+     * events on that socket's queue bump them.
+     */
+    struct alignas(64) NocStats
+    {
+        Counter packets;
+        Counter ctrlBytes;
+        Counter dataBytes;
+        Counter hopTraversals;
+        Counter linkBytes;
+    };
+
+    /** @p field summed over every socket's copy. */
+    std::uint64_t
+    sum(Counter NocStats::*field) const
+    {
+        std::uint64_t n = 0;
+        for (const NocStats &s : noc)
+            n += (s.*field).value();
+        return n;
+    }
 
     QueueRouter &router;
     FaultInjector *fault = nullptr; //!< armed only in testing runs
@@ -116,11 +147,8 @@ class Interconnect
      * adjacent pairs. */
     std::vector<Channel> links;
 
-    Counter packets;
-    Counter ctrlBytes;
-    Counter dataBytesStat;
-    Counter hopTraversals;
-    Counter linkBytes;
+    /** noc[s]: the traffic counted by events on socket s's queue. */
+    std::vector<NocStats> noc;
 };
 
 } // namespace c3d

@@ -16,9 +16,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/block_map.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -50,6 +50,8 @@ class PageMapper
           deferred(deferred_touch &&
                    policy != MappingPolicy::Interleave)
     {
+        c3d_assert(num_sockets <= 0x100,
+                   "a page's home socket is stored in one byte");
         pagesMapped.init(stats, "mapper.pages_mapped",
                          "distinct pages placed");
         perSocketPages.resize(num_sockets);
@@ -87,9 +89,8 @@ class PageMapper
             return static_cast<SocketId>(pageNumber(addr) % numSockets);
 
         const Addr page = pageNumber(addr);
-        auto it = map.find(page);
-        if (it != map.end())
-            return it->second;
+        if (const PageHome *home = map.find(page))
+            return *home;
         c3d_assert(!deferred,
                    "unresolved page reached homeOf under deferred "
                    "first-touch; the issue path must claim first");
@@ -105,7 +106,7 @@ class PageMapper
     {
         if (policy == MappingPolicy::Interleave)
             return true;
-        return map.find(pageNumber(addr)) != map.end();
+        return map.find(pageNumber(addr)) != nullptr;
     }
 
     /**
@@ -153,8 +154,8 @@ class PageMapper
     {
         if (policy == MappingPolicy::Interleave)
             return static_cast<SocketId>(pageNumber(addr) % numSockets);
-        auto it = map.find(pageNumber(addr));
-        return it != map.end() ? it->second : 0;
+        const PageHome *home = map.find(pageNumber(addr));
+        return home ? *home : 0;
     }
 
     MappingPolicy policyKind() const { return policy; }
@@ -171,13 +172,17 @@ class PageMapper
     SocketId
     mapIfNew(Addr page, SocketId socket)
     {
-        auto [it, inserted] = map.emplace(page, socket);
+        auto [home, inserted] = map.emplace(page);
         if (inserted) {
+            *home = static_cast<PageHome>(socket);
             ++pagesMapped;
             ++perSocketPages[socket];
         }
-        return it->second;
+        return *home;
     }
+
+    /** A page's home socket, one byte per page-table slot. */
+    using PageHome = std::uint8_t;
 
     struct Claim
     {
@@ -190,7 +195,8 @@ class PageMapper
     const MappingPolicy policy;
     const std::uint32_t numSockets;
     const bool deferred;
-    std::unordered_map<Addr, SocketId> map;
+    /** Page number -> home socket. */
+    BlockMap<PageHome> map;
     Counter pagesMapped;
     std::vector<Counter> perSocketPages;
     /** claimBufs[socket]: claims filed by that socket's thread. */

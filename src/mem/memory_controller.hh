@@ -35,13 +35,13 @@ class MemoryController
 
     /**
      * Issue a read of the block at @p addr; @p done fires when the
-     * data is available at the controller. The continuation goes
-     * straight into the event queue, so passing a lambda here stores
-     * its capture inline in the event (no std::function detour).
+     * data is available at the controller. A lambda argument is built
+     * once, into the Callback bound here, and relocated from there
+     * into its event (no std::function detour).
      * @param remote whether the requester is on another socket
      *               (for local/remote accounting only).
      */
-    void read(Addr addr, bool remote, EventQueue::Callback done);
+    void read(Addr addr, bool remote, EventQueue::Callback &&done);
 
     /**
      * Issue a write of the block at @p addr. Writes are posted: the

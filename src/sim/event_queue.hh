@@ -12,12 +12,18 @@
  *
  *  - Callbacks are InlineFunction, not std::function: the capture is
  *    stored inside the event (64-byte budget), so the common schedule
- *    path performs no heap allocation.
+ *    path performs no heap allocation. schedule()/scheduleAt() take
+ *    the callable by forwarding reference and build it directly in
+ *    its pool node, and the event runs it there: a capture is moved
+ *    once, from the caller's closure into the node, and never again.
  *
  *  - Near-future events live in one pool of nodes, and each bucket is
- *    an intrusive FIFO list through it. A drained event's node goes
- *    back on a free list, so the pool only grows when the number of
- *    pending events passes its high-water mark -- a steady-state run
+ *    an intrusive FIFO list through it. The pool is a list of
+ *    fixed-size chunks that never move, so a running callback's node
+ *    stays put however many events the callback schedules. A drained
+ *    event's node goes back on a free list once its callback has
+ *    returned, so the pool only grows when the number of pending
+ *    events passes its high-water mark -- a steady-state run
  *    allocates nothing, however its events spread over the ring.
  *
  *  - The queue is a hierarchical timing wheel: a ring of WheelBuckets
@@ -47,6 +53,7 @@
 #include <cstdint>
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,29 +104,37 @@ class EventQueue
     std::uint64_t heapCallbackEvents() const { return heapEvents; }
 
     /** Schedule @p cb to run @p delay ticks from now. */
+    template <typename F>
     void
-    schedule(Tick delay, Callback cb)
+    schedule(Tick delay, F &&cb)
     {
-        scheduleAt(currentTick + delay, std::move(cb));
+        scheduleAt(currentTick + delay, std::forward<F>(cb));
     }
 
-    /** Schedule @p cb at absolute tick @p when (>= now). */
+    /**
+     * Schedule @p cb at absolute tick @p when (>= now). The callable
+     * is constructed in place in its event node (a Callback is
+     * relocated there), never copied through a by-value parameter.
+     */
+    template <typename F>
     void
-    scheduleAt(Tick when, Callback cb)
+    scheduleAt(Tick when, F &&cb)
     {
         c3d_assert(when >= currentTick,
                    "event scheduled in the past");
-        if (cb.onHeap())
-            ++heapEvents;
         // wheelBase <= currentTick <= when always holds, so the
         // subtraction cannot wrap.
-        if (when - wheelBase < WheelSpan) {
-            append(when, std::move(cb));
-        } else {
-            overflow.push_back(
-                FarEvent{when, nextFarSequence++, std::move(cb)});
-            std::push_heap(overflow.begin(), overflow.end(), FarLater{});
+        if (when - wheelBase >= WheelSpan) {
+            // Far-future events are rare: wrap the callable here and
+            // park it, so the overflow heap is one instantiation.
+            scheduleFar(when, Callback(std::forward<F>(cb)));
+            return;
         }
+        const std::uint32_t n = takeNode();
+        Callback &slot = nodeAt(n).cb;
+        slot.emplace(std::forward<F>(cb));
+        heapEvents += slot.onHeap();
+        link(when, n);
     }
 
     /**
@@ -200,7 +215,7 @@ class EventQueue
         std::size_t head = 0;
         if (wheelCount != 0) {
             for (std::uint32_t n = buckets[idx].head; n != NoNode;
-                 n = nodes[n].next)
+                 n = nodeAt(n).next)
                 ++head;
         } else {
             for (const FarEvent &fe : overflow)
@@ -215,16 +230,18 @@ class EventQueue
     }
 
     /**
-     * Drop all pending events and rewind time to zero. O(buckets +
-     * pending): the node pool is clear()ed in place (capacity kept
-     * for reuse), not drained event by event.
+     * Drop all pending events (destroying their callbacks) and rewind
+     * time to zero. O(buckets + pool high-water mark); the node
+     * chunks are kept for reuse. Not callable from inside a callback.
      */
     void
     reset()
     {
         for (Bucket &b : buckets)
             b = Bucket{};
-        nodes.clear();
+        for (std::uint32_t n = 0; n < nodeCount; ++n)
+            nodeAt(n).cb.reset();
+        nodeCount = 0;
         freeNodes = NoNode;
         occupied.fill(0);
         summary = 0;
@@ -242,6 +259,14 @@ class EventQueue
 
   private:
     static constexpr std::uint32_t NoNode = ~std::uint32_t(0);
+
+    /**
+     * Nodes per pool chunk: 64 nodes of 96 B. A sweep row's queue
+     * peaks at a few dozen pending events, so one chunk usually
+     * holds them all and the unused tail stays small.
+     */
+    static constexpr unsigned ChunkBits = 6;
+    static constexpr std::uint32_t ChunkNodes = 1u << ChunkBits;
 
     /**
      * One tick's events. Only one tick can map to a bucket at a time:
@@ -379,24 +404,56 @@ class EventQueue
         return b;
     }
 
-    /** Append @p cb to tick @p when's bucket (inside the horizon). */
+    Node &
+    nodeAt(std::uint32_t n) const
+    {
+        return chunks[n >> ChunkBits][n & (ChunkNodes - 1)];
+    }
+
+    /** A node off the free list, or a fresh one. */
+    std::uint32_t
+    takeNode()
+    {
+        const std::uint32_t n = freeNodes;
+        if (n == NoNode)
+            return freshNode();
+        freeNodes = nodeAt(n).next;
+        return n;
+    }
+
+    /**
+     * The next never-used node, adding a chunk when the last one is
+     * full. Cold (a run reaches its high-water mark early), so it
+     * stays out of line at the many schedule sites.
+     */
+    [[gnu::noinline]] std::uint32_t
+    freshNode()
+    {
+        const std::uint32_t n = nodeCount++;
+        if ((n >> ChunkBits) == chunks.size())
+            chunks.push_back(std::make_unique<Node[]>(ChunkNodes));
+        return n;
+    }
+
+    /** Park @p cb in the overflow heap (beyond the wheel's horizon). */
+    [[gnu::noinline]] void
+    scheduleFar(Tick when, Callback &&cb)
+    {
+        heapEvents += cb.onHeap();
+        overflow.push_back(FarEvent{when, nextFarSequence++, std::move(cb)});
+        std::push_heap(overflow.begin(), overflow.end(), FarLater{});
+    }
+
+    /** Append node @p n to tick @p when's bucket (in the horizon). */
     void
-    append(Tick when, Callback &&cb)
+    link(Tick when, std::uint32_t n)
     {
         Bucket &b = claimBucket(when);
-        std::uint32_t n = freeNodes;
-        if (n == NoNode) {
-            n = static_cast<std::uint32_t>(nodes.size());
-            nodes.emplace_back();
-        } else {
-            freeNodes = nodes[n].next;
-        }
-        nodes[n].cb = std::move(cb);
-        nodes[n].next = NoNode;
+        nodeAt(n).next = NoNode;
         if (b.tail == NoNode)
             b.head = n;
         else
-            nodes[b.tail].next = n;
+            nodeAt(b.tail).next = n;
         b.tail = n;
         ++wheelCount;
     }
@@ -416,11 +473,40 @@ class EventQueue
         while (!overflow.empty() &&
                overflow.front().when - wheelBase < WheelSpan) {
             std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
-            FarEvent fe = std::move(overflow.back());
+            FarEvent &fe = overflow.back();
+            const std::uint32_t n = takeNode();
+            nodeAt(n).cb = std::move(fe.cb);
+            link(fe.when, n);
             overflow.pop_back();
-            append(fe.when, std::move(fe.cb));
         }
     }
+
+    /**
+     * Frees an executed event's node once its callback has returned
+     * or thrown, destroying the capture exactly once.
+     */
+    class NodeRelease
+    {
+      public:
+        NodeRelease(EventQueue &queue, Node &held, std::uint32_t index)
+            : q(queue), node(held), n(index)
+        {}
+
+        NodeRelease(const NodeRelease &) = delete;
+        NodeRelease &operator=(const NodeRelease &) = delete;
+
+        ~NodeRelease()
+        {
+            node.cb.reset();
+            node.next = q.freeNodes;
+            q.freeNodes = n;
+        }
+
+      private:
+        EventQueue &q;
+        Node &node;
+        std::uint32_t n;
+    };
 
     /** Pop and run the earliest event, as located by peekNext(). */
     void
@@ -430,23 +516,25 @@ class EventQueue
         advanceTo(t); // fills bucket idx when t came from the heap
         Bucket &b = buckets[idx];
 
-        // Move the callback out -- and finish all bookkeeping --
-        // before invoking it, so the callback may freely schedule
-        // further events (including into this same bucket).
+        // Unlink the node -- and finish all bookkeeping -- before
+        // invoking its callback, so the callback may freely schedule
+        // further events (including into this same bucket). The node
+        // is on neither a bucket nor the free list while it runs, so
+        // nothing reuses it, and chunks never move: the callback runs
+        // in place, and the node is freed only after it returns.
         const std::uint32_t n = b.head;
-        Callback cb = std::move(nodes[n].cb);
-        b.head = nodes[n].next;
+        Node &node = nodeAt(n);
+        b.head = node.next;
         if (b.head == NoNode) {
             b.tail = NoNode;
             clearOccupied(idx);
         }
-        nodes[n].next = freeNodes;
-        freeNodes = n;
         --wheelCount;
         ++executed;
+        NodeRelease release(*this, node, n);
         if (wd)
             watchdogCheck(t);
-        cb();
+        node.cb();
     }
 
     /**
@@ -494,8 +582,10 @@ class EventQueue
     }
 
     std::vector<Bucket> buckets;
-    /** Near-future events, linked into their buckets' FIFOs. */
-    std::vector<Node> nodes;
+    /** Near-future event nodes, ChunkNodes per chunk; node n lives
+     * at chunks[n / ChunkNodes][n % ChunkNodes] and never moves. */
+    std::vector<std::unique_ptr<Node[]>> chunks;
+    std::uint32_t nodeCount = 0; //!< nodes handed out (high-water)
     std::uint32_t freeNodes = NoNode;
     /** Two-level occupancy bitmap over the buckets. */
     std::array<std::uint64_t, WheelBuckets / 64> occupied{};

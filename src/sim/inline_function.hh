@@ -27,6 +27,7 @@
 #define C3DSIM_SIM_INLINE_FUNCTION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -70,6 +71,90 @@ class InlineFunction<void(Args...)>
                                         Args...>>>
     InlineFunction(F &&f) // NOLINT: implicit by design
     {
+        construct(std::forward<F>(f));
+    }
+
+    InlineFunction(InlineFunction &&other) noexcept { take(other); }
+
+    InlineFunction &
+    operator=(InlineFunction &&other) noexcept
+    {
+        if (this != &other) {
+            reset();
+            take(other);
+        }
+        return *this;
+    }
+
+    /**
+     * Replace the held callable with @p f, built directly in this
+     * object's storage: no temporary InlineFunction, so a capture
+     * passed down as a forwarding reference is moved exactly once,
+     * from the caller's closure into its final home. Another
+     * InlineFunction is relocated rather than wrapped.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "InlineFunction is move-only");
+            *this = std::move(f);
+        } else {
+            reset();
+            construct(std::forward<F>(f));
+        }
+    }
+
+    /** Destroy the held callable, leaving this empty. */
+    void
+    reset() noexcept
+    {
+        if (ops && ops->destroy)
+            ops->destroy(storage);
+        ops = nullptr;
+    }
+
+    InlineFunction(const InlineFunction &) = delete;
+    InlineFunction &operator=(const InlineFunction &) = delete;
+
+    ~InlineFunction() { reset(); }
+
+    void
+    operator()(Args... args)
+    {
+        c3d_assert(ops, "invoking an empty InlineFunction");
+        ops->invoke(storage, std::forward<Args>(args)...);
+    }
+
+    explicit operator bool() const noexcept { return ops != nullptr; }
+
+    /** True when the callable spilled to a heap allocation. */
+    bool onHeap() const noexcept { return ops && ops->heap; }
+
+  private:
+    /**
+     * Per-callable-type operations. A null @c relocate means the
+     * storage may be copied byte for byte (a trivially copyable
+     * capture, or the heap fallback's pointer); a null @c destroy
+     * means there is nothing to destroy. Most simulator captures are
+     * ids, scalars and pointers, so moving an event costs a fixed
+     * 64-byte copy and no indirect call.
+     */
+    struct Ops
+    {
+        void (*invoke)(void *, Args...);
+        /** Move-construct dst from src, then destroy src. */
+        void (*relocate)(void *dst, void *src) noexcept;
+        void (*destroy)(void *) noexcept;
+        bool heap;
+    };
+
+    template <typename F>
+    void
+    construct(F &&f)
+    {
         using Fn = std::decay_t<F>;
         if constexpr (fitsInline<Fn>) {
             ::new (static_cast<void *>(storage)) Fn(std::forward<F>(f));
@@ -97,57 +182,19 @@ class InlineFunction<void(Args...)>
         }
     }
 
-    InlineFunction(InlineFunction &&other) noexcept : ops(other.ops)
-    {
-        if (ops)
-            ops->relocate(storage, other.storage);
-        other.ops = nullptr;
-    }
-
-    InlineFunction &
-    operator=(InlineFunction &&other) noexcept
-    {
-        if (this == &other)
-            return *this;
-        if (ops)
-            ops->destroy(storage);
-        ops = other.ops;
-        if (ops)
-            ops->relocate(storage, other.storage);
-        other.ops = nullptr;
-        return *this;
-    }
-
-    InlineFunction(const InlineFunction &) = delete;
-    InlineFunction &operator=(const InlineFunction &) = delete;
-
-    ~InlineFunction()
-    {
-        if (ops)
-            ops->destroy(storage);
-    }
-
+    /** Relocate @p other's callable into this (empty) object. */
     void
-    operator()(Args... args)
+    take(InlineFunction &other) noexcept
     {
-        c3d_assert(ops, "invoking an empty InlineFunction");
-        ops->invoke(storage, std::forward<Args>(args)...);
+        ops = other.ops;
+        if (ops) {
+            if (ops->relocate)
+                ops->relocate(storage, other.storage);
+            else
+                std::memcpy(storage, other.storage, InlineBytes);
+        }
+        other.ops = nullptr;
     }
-
-    explicit operator bool() const noexcept { return ops != nullptr; }
-
-    /** True when the callable spilled to a heap allocation. */
-    bool onHeap() const noexcept { return ops && ops->heap; }
-
-  private:
-    struct Ops
-    {
-        void (*invoke)(void *, Args...);
-        /** Move-construct dst from src, then destroy src. */
-        void (*relocate)(void *dst, void *src) noexcept;
-        void (*destroy)(void *) noexcept;
-        bool heap;
-    };
 
     template <typename Fn>
     struct InlineModel
@@ -166,7 +213,9 @@ class InlineFunction<void(Args...)>
             at(src)->~Fn();
         }
         static void destroy(void *s) noexcept { at(s)->~Fn(); }
-        static constexpr Ops ops{&invoke, &relocate, &destroy, false};
+        static constexpr bool trivial = std::is_trivially_copyable_v<Fn>;
+        static constexpr Ops ops{&invoke, trivial ? nullptr : &relocate,
+                                 trivial ? nullptr : &destroy, false};
     };
 
     template <typename Fn>
@@ -182,11 +231,6 @@ class InlineFunction<void(Args...)>
             (*at(s))(std::forward<Args>(args)...);
         }
         static void
-        relocate(void *dst, void *src) noexcept
-        {
-            ::new (dst) (Fn *)(at(src));
-        }
-        static void
         destroy(void *s) noexcept
         {
             Fn *p = at(s);
@@ -197,7 +241,8 @@ class InlineFunction<void(Args...)>
                 delete p;
             }
         }
-        static constexpr Ops ops{&invoke, &relocate, &destroy, true};
+        // The storage holds only the pointer: relocation is a copy.
+        static constexpr Ops ops{&invoke, nullptr, &destroy, true};
     };
 
     const Ops *ops = nullptr;

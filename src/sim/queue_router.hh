@@ -90,18 +90,19 @@ class QueueRouter
      * shared layout schedules directly, so @p when may be this very
      * tick (zero-hop). In multi-queue mode @p when must lie beyond
      * the current lookahead cell; the cell executor asserts this
-     * when it flushes.
+     * when it flushes. @p cb is built in place in its event node or
+     * outbox entry.
      */
+    template <typename F>
     void
-    inject(SocketId src, SocketId dst, Tick when,
-           EventQueue::Callback cb)
+    inject(SocketId src, SocketId dst, Tick when, F &&cb)
     {
         if (!isMulti) {
-            queues[dst]->scheduleAt(when, std::move(cb));
+            queues[dst]->scheduleAt(when, std::forward<F>(cb));
             return;
         }
-        outboxes[writeParity][src * queues.size() + dst].push_back(
-            Delivery{when, std::move(cb)});
+        outboxes[writeParity][src * queues.size() + dst].emplace_back(
+            when, std::forward<F>(cb));
     }
 
     // ---- cell-executor interface (multi-queue mode only) ---------------
@@ -158,6 +159,10 @@ class QueueRouter
   private:
     struct Delivery
     {
+        template <typename F>
+        Delivery(Tick w, F &&f) : when(w), cb(std::forward<F>(f))
+        {}
+
         Tick when;
         EventQueue::Callback cb;
     };

@@ -42,7 +42,7 @@ Socket::Socket(EventQueue &eq, const SystemConfig &cfg, SocketId id,
 
 MissSlot
 Socket::takeSlot(std::uint32_t core, Addr blk, bool write,
-                 bool private_page, EventQueue::Callback done)
+                 bool private_page, EventQueue::Callback &&done)
 {
     MissSlot slot = freeSlots;
     if (slot == NoSlot) {
@@ -77,7 +77,7 @@ Socket::complete(MissSlot slot)
 }
 
 void
-Socket::load(std::uint32_t core, Addr addr, EventQueue::Callback done)
+Socket::load(std::uint32_t core, Addr addr, EventQueue::Callback &&done)
 {
     ++loads;
     const Addr blk = blockAlign(addr);
@@ -189,7 +189,7 @@ Socket::readGranted(MissSlot slot)
 
 void
 Socket::store(std::uint32_t core, Addr addr, bool private_page,
-              EventQueue::Callback done)
+              EventQueue::Callback &&done)
 {
     ++stores;
     const Addr blk = blockAlign(addr);

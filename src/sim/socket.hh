@@ -58,7 +58,7 @@ class Socket
      * Core @p core (socket-local index) loads the block at @p addr.
      * @p done fires when the data is available to the core.
      */
-    void load(std::uint32_t core, Addr addr, EventQueue::Callback done);
+    void load(std::uint32_t core, Addr addr, EventQueue::Callback &&done);
 
     /**
      * Core @p core stores to the block at @p addr. @p done fires when
@@ -67,7 +67,7 @@ class Socket
      * @param private_page TLB classification hint (§IV-D).
      */
     void store(std::uint32_t core, Addr addr, bool private_page,
-               EventQueue::Callback done);
+               EventQueue::Callback &&done);
 
     /**
      * The protocol's completion of the GetS or GetX issued for miss
@@ -244,7 +244,7 @@ class Socket
 
     /** Claim a request slot, stamped with the current tick. */
     MissSlot takeSlot(std::uint32_t core, Addr blk, bool write,
-                      bool private_page, EventQueue::Callback done);
+                      bool private_page, EventQueue::Callback &&done);
 
     /** Sample the slot's latency, free it and run its callback. */
     void complete(MissSlot slot);

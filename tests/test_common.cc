@@ -1,10 +1,14 @@
 /**
  * @file
- * Unit tests for src/common: types/units, RNG, stats.
+ * Unit tests for src/common: types/units, RNG, stats, BlockMap.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_map>
+
+#include "common/block_map.hh"
 #include "common/config.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -166,6 +170,38 @@ TEST(Stats, HistogramTracksMoments)
     EXPECT_DOUBLE_EQ(h.mean(), 20.0);
     h.reset();
     EXPECT_EQ(h.count(), 0u);
+}
+
+TEST(BlockMap, MatchesAReferenceMapUnderRandomInsertErase)
+{
+    // Random inserts, overwrites and erases over a small key range
+    // (long probe runs, many backward shifts) and growth past several
+    // doublings; every key's entry must match std::unordered_map's.
+    BlockMap<std::uint16_t> map;
+    std::unordered_map<std::uint64_t, std::uint16_t> ref;
+    Rng rng(7);
+    for (int op = 0; op < 20000; ++op) {
+        const std::uint64_t key = rng.below(op < 10000 ? 3000 : 600);
+        if (rng.below(3) == 0) {
+            map.erase(key);
+            ref.erase(key);
+        } else {
+            const auto value = static_cast<std::uint16_t>(op);
+            auto [e, inserted] = map.emplace(key);
+            EXPECT_EQ(inserted, ref.count(key) == 0);
+            *e = value;
+            ref[key] = value;
+        }
+        ASSERT_EQ(map.size(), ref.size());
+    }
+    for (std::uint64_t key = 0; key < 3000; ++key) {
+        const std::uint16_t *e = map.find(key);
+        auto it = ref.find(key);
+        ASSERT_EQ(e != nullptr, it != ref.end()) << key;
+        if (e) {
+            EXPECT_EQ(*e, it->second) << key;
+        }
+    }
 }
 
 TEST(Config, ScaledPreservesRatios)

@@ -12,9 +12,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/rng.hh"
 #include "common/sim_error.hh"
+#include "interconnect/interconnect.hh"
 #include "sim/event_queue.hh"
+#include "sim/queue_router.hh"
 
 namespace c3d
 {
@@ -524,6 +527,229 @@ TEST(EventQueuePanicTest, PastSchedulingThrowsSimError)
         EXPECT_TRUE(e.tickKnown());
         EXPECT_EQ(e.tick(), 10u);
     }
+}
+
+// ---- in-place continuations ------------------------------------------
+
+/** What happened to the Counted callables sharing one Tally. */
+struct Tally
+{
+    int builds = 0;   //!< constructed from scratch
+    int moves = 0;    //!< move-constructed
+    int destroys = 0; //!< destroyed (moved-from shells included)
+    int runs = 0;
+
+    /** Every object ever constructed has been destroyed. */
+    bool allDestroyed() const { return destroys == builds + moves; }
+};
+
+/** A capture that counts its own moves and destructions. */
+struct Counted
+{
+    explicit Counted(Tally *t) : tally(t) { ++tally->builds; }
+    Counted(Counted &&o) noexcept : tally(o.tally) { ++tally->moves; }
+    Counted(const Counted &) = delete;
+    ~Counted() { ++tally->destroys; }
+
+    void operator()() { ++tally->runs; }
+
+    Tally *tally;
+};
+
+TEST(EventQueue, CallbackRunsInPlaceWhileGrowingTheNodePool)
+{
+    // The running callback's node stays where it is while the
+    // callback schedules enough events to add several pool chunks;
+    // its captures are read again afterwards (a node that moved
+    // would be a use-after-free under AddressSanitizer).
+    EventQueue eq;
+    std::array<std::uint64_t, 6> pattern{};
+    for (std::size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = 0x0123456789abcdefull * (i + 1);
+    int scheduled = 0, ran = 0;
+    bool intact = false;
+    const void *before = nullptr, *after = nullptr;
+    eq.schedule(1, [&, pattern] {
+        before = &pattern;
+        for (int i = 0; i < 3000; ++i) {
+            eq.schedule(1 + i % 4000, [&ran] { ++ran; });
+            ++scheduled;
+        }
+        after = &pattern;
+        intact = true;
+        for (std::size_t i = 0; i < pattern.size(); ++i)
+            intact &= pattern[i] == 0x0123456789abcdefull * (i + 1);
+    });
+    eq.run();
+    EXPECT_TRUE(intact);
+    EXPECT_EQ(before, after);
+    EXPECT_EQ(ran, scheduled);
+}
+
+TEST(EventQueue, ScheduleBuildsTheCaptureInItsNodeWithoutMoves)
+{
+    // The one move is the build from the caller's temporary into the
+    // pool node; scheduling and running it relocate it no further.
+    Tally t;
+    {
+        EventQueue eq;
+        eq.schedule(3, Counted(&t));
+        EXPECT_EQ(t.moves, 1);
+        eq.run();
+        EXPECT_EQ(t.runs, 1);
+        EXPECT_EQ(t.moves, 1);
+        // Freed right after it returns, not when the node is reused.
+        EXPECT_TRUE(t.allDestroyed());
+    }
+    EXPECT_EQ(t.builds, 1);
+    EXPECT_TRUE(t.allDestroyed());
+}
+
+TEST(EventQueue, OneHopSendRelocatesTheCaptureAtMostTwice)
+{
+    // Interconnect::send builds its Callback from the lambda (one
+    // move), then the multi-queue router relocates it into an outbox
+    // entry and, at the barrier, into the destination's event node.
+    Tally t;
+    EventQueue q0, q1;
+    QueueRouter rt;
+    rt.initMulti({&q0, &q1});
+    StatGroup g("t");
+    SystemConfig cfg;
+    cfg.numSockets = 2;
+    Interconnect noc(rt, cfg, &g);
+    noc.send(0, 1, PacketKind::Control, Counted(&t));
+    const unsigned parity = rt.currentParity();
+    rt.flipParity();
+    rt.flushTo(1, parity);
+    q1.run();
+    EXPECT_EQ(t.runs, 1);
+    EXPECT_LE(t.moves - 1, 2);
+    EXPECT_TRUE(t.allDestroyed());
+
+    // The shared-queue layout schedules straight into the node.
+    Tally s;
+    EventQueue eq;
+    QueueRouter single;
+    single.initSingle(eq, 2);
+    Interconnect noc1(single, cfg, &g);
+    noc1.send(0, 1, PacketKind::Control, Counted(&s));
+    eq.run();
+    EXPECT_EQ(s.runs, 1);
+    EXPECT_LE(s.moves - 1, 1);
+    EXPECT_TRUE(s.allDestroyed());
+}
+
+TEST(EventQueue, MultiHopCaptureIsDestroyedOnceRunOrDropped)
+{
+    // On a 4-socket ring, 0 -> 2 takes two hops: the continuation
+    // waits in a slab node between them. It is destroyed exactly
+    // once whether the packet arrives or its hop event is dropped.
+    SystemConfig cfg;
+    cfg.numSockets = 4;
+    for (bool arrive : {true, false}) {
+        Tally t;
+        std::vector<EventQueue> qs(4);
+        QueueRouter rt;
+        rt.initMulti({&qs[0], &qs[1], &qs[2], &qs[3]});
+        StatGroup g("t");
+        Interconnect noc(rt, cfg, &g);
+        noc.send(0, 2, PacketKind::Data, Counted(&t));
+        // Deliver the first hop's event to the intermediate socket.
+        unsigned parity = rt.currentParity();
+        rt.flipParity();
+        for (SocketId s = 0; s < 4; ++s)
+            rt.flushTo(s, parity);
+        EXPECT_EQ(qs[0].pending() + qs[1].pending() + qs[2].pending() +
+                      qs[3].pending(),
+                  1u);
+        if (arrive) {
+            for (EventQueue &q : qs)
+                q.run();
+            parity = rt.currentParity();
+            rt.flipParity();
+            for (SocketId s = 0; s < 4; ++s)
+                rt.flushTo(s, parity);
+            for (EventQueue &q : qs)
+                q.run();
+            EXPECT_EQ(t.runs, 1);
+        } else {
+            for (EventQueue &q : qs)
+                q.reset();
+            EXPECT_EQ(t.runs, 0);
+        }
+        EXPECT_TRUE(t.allDestroyed()) << (arrive ? "arrived" : "dropped");
+    }
+}
+
+TEST(EventQueue, ResetDestroysEveryPendingCaptureOnce)
+{
+    Tally t;
+    EventQueue eq;
+    for (int i = 0; i < 300; ++i)
+        eq.schedule(1 + i % 7, Counted(&t));
+    // Far-future events wait in the overflow heap.
+    for (int i = 0; i < 5; ++i)
+        eq.schedule(EventQueue::WheelSpan * (i + 2), Counted(&t));
+    eq.step();
+    EXPECT_EQ(t.runs, 1);
+    eq.reset();
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_TRUE(t.allDestroyed());
+
+    // The recycled pool runs new events normally.
+    eq.schedule(2, Counted(&t));
+    eq.run();
+    EXPECT_EQ(t.runs, 2);
+    EXPECT_TRUE(t.allDestroyed());
+}
+
+TEST(EventQueuePanicTest, ThrowingCallbackIsDestroyedOnce)
+{
+    // A callback that throws is still destroyed (once) and its node
+    // recycled; the events behind it stay pending and run later.
+    Tally t;
+    EventQueue eq;
+    eq.schedule(1, [c = Counted(&t)]() mutable {
+        c();
+        c3d_panic("callback failed");
+    });
+    eq.schedule(2, Counted(&t));
+    EXPECT_THROW(eq.run(), SimError);
+    EXPECT_EQ(t.runs, 1);
+    EXPECT_EQ(t.destroys, t.builds + t.moves - 1); // one still queued
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(t.runs, 2);
+    EXPECT_TRUE(t.allDestroyed());
+}
+
+TEST(InlineFunction, TriviallyCopyableCapturesRelocateByCopy)
+{
+    // A capture of scalars and pointers moves as a plain copy of the
+    // inline storage; a non-trivial one through its move constructor.
+    int hits = 0;
+    const std::uint64_t a = 0xfeedfacecafebeefull;
+    InlineFunction<> f = [&hits, a] { hits += a == 0xfeedfacecafebeefull; };
+    InlineFunction<> g = std::move(f);
+    InlineFunction<> h;
+    h = std::move(g);
+    EXPECT_FALSE(f);
+    EXPECT_FALSE(g);
+    h();
+    EXPECT_EQ(hits, 1);
+
+    Tally t;
+    {
+        InlineFunction<> c = Counted(&t);
+        InlineFunction<> d = std::move(c);
+        d();
+        EXPECT_EQ(t.moves, 2);
+        d.reset();
+        EXPECT_FALSE(d);
+        EXPECT_TRUE(t.allDestroyed());
+    }
+    EXPECT_EQ(t.runs, 1);
+    EXPECT_TRUE(t.allDestroyed());
 }
 
 } // namespace

@@ -78,6 +78,26 @@ TEST(PageMapper, HomeOfExistingDoesNotMap)
     EXPECT_EQ(m.mappedPages(), 0u);
 }
 
+TEST(PageMapper, PageTableKeepsEveryHomeAcrossGrowth)
+{
+    // Enough pages to grow the page table many times over, homed
+    // round the sockets by first touch; each keeps its first home.
+    StatGroup g("t");
+    PageMapper m(MappingPolicy::FirstTouch2, 4, &g);
+    constexpr Addr Pages = 20000;
+    for (Addr p = 0; p < Pages; ++p)
+        EXPECT_EQ(m.homeOf(p * 3 * PageBytes, (p * 7) % 4), (p * 7) % 4);
+    EXPECT_EQ(m.mappedPages(), Pages);
+    for (Addr p = 0; p < Pages; ++p) {
+        ASSERT_TRUE(m.resolved(p * 3 * PageBytes + 64));
+        EXPECT_EQ(m.homeOf(p * 3 * PageBytes, 0), (p * 7) % 4);
+        EXPECT_EQ(m.homeOfExisting(p * 3 * PageBytes), (p * 7) % 4);
+    }
+    EXPECT_FALSE(m.resolved(PageBytes));
+    EXPECT_EQ(m.pagesAt(0) + m.pagesAt(1) + m.pagesAt(2) + m.pagesAt(3),
+              Pages);
+}
+
 TEST(PageClassifier, FirstTouchIsPrivate)
 {
     StatGroup g("t");

@@ -14,8 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/log.hh"
 #include "exp/sweep_engine.hh"
@@ -23,6 +26,7 @@
 #include "sim/runner.hh"
 #include "test_helpers.hh"
 #include "trace/trace_file.hh"
+#include "trace/workload.hh"
 
 namespace c3d
 {
@@ -207,6 +211,66 @@ TEST(ParallelKernel, ThreadCountDoesNotChangeEligibleRunResults)
         k.threads = t;
         SCOPED_TRACE(t);
         expectSameRunResult(ref, runWorkload(cfg, prof, 200, 800, k));
+    }
+}
+
+/**
+ * Every counter and histogram of a finished run, by name (a
+ * per-socket stat's instances read as one), as comparable text.
+ */
+std::map<std::string, std::string>
+statsByName(const SystemConfig &cfg, const WorkloadProfile &prof,
+            KernelOptions kernel)
+{
+    SyntheticWorkload wl(prof, cfg.totalCores(), cfg.coresPerSocket);
+    Runner runner(cfg, wl, RunOptions(kernel));
+    runner.run(150, 600);
+    const StatGroup &g = runner.machine().stats();
+    std::map<std::string, std::string> out;
+    for (const Counter *c : g.allCounters())
+        out[c->name()] = std::to_string(g.valueOf(c->name()));
+    for (const Histogram *h : g.allHistograms()) {
+        const std::optional<Histogram> m = g.histogramOf(h->name());
+        std::string v = std::to_string(m->count()) + " " +
+            std::to_string(m->sum()) + " " + std::to_string(m->min()) +
+            " " + std::to_string(m->max()) + " |";
+        for (unsigned b = 0; b < 64; ++b)
+            v += " " + std::to_string(m->bucket(b));
+        out["hist:" + h->name()] = v;
+    }
+    return out;
+}
+
+TEST(ParallelKernel, EveryStatIsIndependentOfTheWorkerCount)
+{
+    // Stats are plain integers, each written only by events on one
+    // socket's queue (the per-socket stats keep one instance per
+    // socket). Every counter and histogram -- not just the row
+    // columns -- must read the same on 1, 2 and 4 workers.
+    const WorkloadProfile prof = test::tinyProfile("stats");
+    for (Design d : {Design::Baseline, Design::Snoopy, Design::FullDir,
+                     Design::C3D, Design::C3DFullDir}) {
+        for (std::uint32_t sockets : {2u, 4u}) {
+            SystemConfig cfg = test::tinyConfig(d, sockets, 2);
+            SCOPED_TRACE(designName(d) + std::string(" x") +
+                         std::to_string(sockets));
+            ASSERT_TRUE(Machine::parallelKernelEligible(cfg));
+            const auto ref = statsByName(cfg, prof, KernelOptions{});
+            EXPECT_GT(ref.size(), 20u);
+            for (unsigned t : {2u, 4u}) {
+                KernelOptions k;
+                k.parallel = true;
+                k.threads = t;
+                const auto got = statsByName(cfg, prof, k);
+                ASSERT_EQ(ref.size(), got.size());
+                for (const auto &[name, value] : ref) {
+                    auto it = got.find(name);
+                    ASSERT_NE(it, got.end()) << name;
+                    EXPECT_EQ(value, it->second)
+                        << name << " on " << t << " workers";
+                }
+            }
+        }
     }
 }
 

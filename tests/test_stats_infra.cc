@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/stats.hh"
@@ -50,10 +54,85 @@ TEST(StatsInfra, HistogramLookupByName)
     Histogram h;
     h.init(&g, "lat");
     h.sample(5);
-    const Histogram *found = g.histogramOf("lat");
-    ASSERT_NE(found, nullptr);
+    const std::optional<Histogram> found = g.histogramOf("lat");
+    ASSERT_TRUE(found.has_value());
     EXPECT_EQ(found->count(), 1u);
-    EXPECT_EQ(g.histogramOf("nope"), nullptr);
+    EXPECT_FALSE(g.histogramOf("nope").has_value());
+}
+
+// A per-socket stat registers one instance per socket under one
+// name; every reader sees the instances as one summed stat.
+TEST(StatsInfra, SameNamedCountersReadAsOneSum)
+{
+    StatGroup g("g");
+    Counter first, a[3], last;
+    first.init(&g, "x.first", "before");
+    for (Counter &c : a)
+        c.init(&g, "x.per_socket", "one per socket");
+    last.init(&g, "x.last");
+    first += 1;
+    a[0] += 2;
+    a[1] += 30;
+    a[2] += 400;
+    last += 5;
+
+    EXPECT_EQ(g.valueOf("x.per_socket"), 432u);
+    EXPECT_EQ(g.sumMatching("per_socket"), 432u);
+    EXPECT_EQ(g.sumMatching("x."), 438u);
+    EXPECT_TRUE(g.has("x.per_socket"));
+
+    // One line per name, at the first instance's place, summed.
+    std::ostringstream os;
+    g.dump(os);
+    std::istringstream lines(os.str());
+    std::vector<std::pair<std::string, std::uint64_t>> rows;
+    for (std::string line; std::getline(lines, line);) {
+        std::istringstream fields(line);
+        std::string name;
+        std::uint64_t value = 0;
+        fields >> name >> value;
+        rows.emplace_back(name, value);
+    }
+    const std::vector<std::pair<std::string, std::uint64_t>> want = {
+        {"x.first", 1}, {"x.per_socket", 432}, {"x.last", 5}};
+    EXPECT_EQ(rows, want);
+    EXPECT_EQ(os.str().find("one per socket"),
+              os.str().rfind("one per socket"));
+
+    g.resetAll();
+    EXPECT_EQ(g.valueOf("x.per_socket"), 0u);
+}
+
+TEST(StatsInfra, SameNamedHistogramsMergeIntoOne)
+{
+    StatGroup g("g");
+    Histogram h[2], other;
+    h[0].init(&g, "lat");
+    h[1].init(&g, "lat");
+    other.init(&g, "other");
+    h[0].sample(3);
+    h[0].sample(100);
+    h[1].sample(1);
+    h[1].sample(1024);
+    h[1].sample(7);
+    other.sample(99999);
+
+    const std::optional<Histogram> m = g.histogramOf("lat");
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->count(), 5u);
+    EXPECT_EQ(m->sum(), 3u + 100 + 1 + 1024 + 7);
+    EXPECT_EQ(m->min(), 1u);
+    EXPECT_EQ(m->max(), 1024u);
+    EXPECT_EQ(m->bucket(1), 1u);  // 1
+    EXPECT_EQ(m->bucket(2), 1u);  // 3
+    EXPECT_EQ(m->bucket(3), 1u);  // 7
+    EXPECT_EQ(m->bucket(7), 1u);  // 100
+    EXPECT_EQ(m->bucket(11), 1u); // 1024
+
+    // An instance that never sampled leaves min() alone.
+    Histogram idle;
+    idle.init(&g, "lat");
+    EXPECT_EQ(g.histogramOf("lat")->min(), 1u);
 }
 
 TEST(StatsInfra, HistogramBucketsArePowersOfTwo)

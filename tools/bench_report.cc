@@ -29,11 +29,13 @@
  *    meaningful when the host has >= numSockets hardware threads --
  *    host_hw_threads records the truth next to the number.
  *  - robustness: the same row with the progress watchdog disarmed
- *    vs armed at the sweep CLI's defaults, reporting both
- *    throughputs and the overhead percentage (guarded at < 2% in
- *    full mode -- the watchdog is designed to be a branch and a
- *    counter per event; quick mode reports without failing, since
- *    its runs are too short to measure 2% reliably). Alongside, an
+ *    vs armed at the sweep CLI's defaults, run as interleaved pairs
+ *    (the side that runs first alternates), reporting the median
+ *    throughputs and the median and IQR of the per-pair overhead
+ *    percentage (the median is guarded at < 2% in full mode -- the
+ *    watchdog is designed to be a branch and a counter per event;
+ *    quick mode reports without failing, since its runs are too
+ *    short to measure 2% reliably). Alongside, an
  *    in-process fault-containment check: a two-point sweep with a
  *    panic injected into one row under --fail-policy=skip must
  *    contain exactly that failure and leave the surviving row
@@ -114,6 +116,20 @@ secondsSince(Clock::time_point start)
 }
 
 /**
+ * The @p q quantile of @p v (0.5 = median), interpolating linearly
+ * between the two nearest order statistics.
+ */
+double
+quantile(std::vector<double> v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/**
  * Best-of-@p rounds throughput of @p batch (which processes
  * @p items_per_batch items), running @p batches batches per round.
  * Best-of damps scheduler noise; the workload itself is
@@ -172,9 +188,11 @@ struct Report
     double parKernelEventsPerSec = 0;
     bool parKernelMetricsMatch = true;
 
+    int wdPairs = 0;
     double wdOffEventsPerSec = 0;
     double wdOnEventsPerSec = 0;
     double wdOverheadPct = 0;
+    double wdOverheadIqrPct = 0;
     std::size_t containedFaults = 0;
     bool containmentSurvivorsMatch = true;
 };
@@ -455,7 +473,10 @@ benchRobustness(Report &rep)
 {
     // Watchdog overhead: the end_to_end row with the watchdog
     // disarmed vs armed at the sweep CLI's default (the livelock
-    // detector at 2M stalled events). Best-of damps scheduler noise.
+    // detector at 2M stalled events). The two sides run as
+    // interleaved pairs, alternating which goes first, so a drift in
+    // host speed lands on both; each pair yields one overhead sample
+    // and the guard reads their median.
     c3d::exp::SweepGrid grid;
     grid.workloads = {c3d::facesimProfile()};
     grid.designs = {c3d::Design::C3D};
@@ -464,33 +485,42 @@ benchRobustness(Report &rep)
         grid = c3d::exp::quickPreset(grid);
     const std::vector<c3d::exp::RunSpec> specs = grid.expand();
     const c3d::exp::RunSpec &spec = specs.front();
-    const int rounds = rep.quick ? 3 : 5;
+    rep.wdPairs = rep.quick ? 3 : 10;
 
-    auto bestEps = [&](const c3d::RunOptions &opts) {
-        double best = 0.0;
-        for (int r = 0; r < rounds; ++r) {
-            c3d::SyntheticWorkload wl(spec.profile.scaled(spec.scale),
-                                      spec.cfg.totalCores(),
-                                      spec.cfg.coresPerSocket);
-            c3d::Runner runner(spec.cfg, wl, opts);
-            const auto start = Clock::now();
-            runner.run(spec.warmupOps, spec.measureOps);
-            const double eps =
-                static_cast<double>(
-                    runner.machine().totalEventsExecuted()) /
-                secondsSince(start);
-            if (eps > best)
-                best = eps;
-        }
-        return best;
+    auto eventsPerSec = [&](const c3d::RunOptions &opts) {
+        c3d::SyntheticWorkload wl(spec.profile.scaled(spec.scale),
+                                  spec.cfg.totalCores(),
+                                  spec.cfg.coresPerSocket);
+        c3d::Runner runner(spec.cfg, wl, opts);
+        const auto start = Clock::now();
+        runner.run(spec.warmupOps, spec.measureOps);
+        return static_cast<double>(
+                   runner.machine().totalEventsExecuted()) /
+            secondsSince(start);
     };
 
-    rep.wdOffEventsPerSec = bestEps(c3d::RunOptions{});
+    const c3d::RunOptions disarmed;
     c3d::RunOptions armed;
     armed.watchdog.stallEvents = 2000000;
-    rep.wdOnEventsPerSec = bestEps(armed);
-    rep.wdOverheadPct =
-        100.0 * (1.0 - rep.wdOnEventsPerSec / rep.wdOffEventsPerSec);
+    std::vector<double> off, on, overhead;
+    for (int p = 0; p < rep.wdPairs; ++p) {
+        double e_off, e_on;
+        if (p % 2 == 0) {
+            e_off = eventsPerSec(disarmed);
+            e_on = eventsPerSec(armed);
+        } else {
+            e_on = eventsPerSec(armed);
+            e_off = eventsPerSec(disarmed);
+        }
+        off.push_back(e_off);
+        on.push_back(e_on);
+        overhead.push_back(100.0 * (1.0 - e_on / e_off));
+    }
+    rep.wdOffEventsPerSec = quantile(off, 0.5);
+    rep.wdOnEventsPerSec = quantile(on, 0.5);
+    rep.wdOverheadPct = quantile(overhead, 0.5);
+    rep.wdOverheadIqrPct =
+        quantile(overhead, 0.75) - quantile(overhead, 0.25);
 
     // Fault containment, checked live: a two-point sweep with a
     // panic injected into one row under the skip policy must record
@@ -618,8 +648,11 @@ writeJson(std::FILE *f, const Report &rep)
                  rep.wdOffEventsPerSec);
     std::fprintf(f, "    \"watchdog_on_events_per_sec\": %.0f,\n",
                  rep.wdOnEventsPerSec);
+    std::fprintf(f, "    \"watchdog_pairs\": %d,\n", rep.wdPairs);
     std::fprintf(f, "    \"watchdog_overhead_pct\": %.2f,\n",
                  rep.wdOverheadPct);
+    std::fprintf(f, "    \"watchdog_overhead_iqr_pct\": %.2f,\n",
+                 rep.wdOverheadIqrPct);
     std::fprintf(f, "    \"watchdog_overhead_guard_pct\": 2.0,\n");
     std::fprintf(f, "    \"contained_faults\": %llu,\n",
                  static_cast<unsigned long long>(rep.containedFaults));
@@ -686,10 +719,11 @@ main(int argc, char **argv)
                  rep.parKernelMetricsMatch ? "match" : "DIVERGE");
 
     std::fprintf(stderr,
-                 "robustness: watchdog overhead %.2f%% "
-                 "(%.1fM -> %.1fM events/s); %llu contained "
+                 "robustness: watchdog overhead %.2f%% (IQR %.2f, "
+                 "%d pairs; %.1fM -> %.1fM events/s); %llu contained "
                  "fault(s); survivors %s\n",
-                 rep.wdOverheadPct, rep.wdOffEventsPerSec / 1e6,
+                 rep.wdOverheadPct, rep.wdOverheadIqrPct, rep.wdPairs,
+                 rep.wdOffEventsPerSec / 1e6,
                  rep.wdOnEventsPerSec / 1e6,
                  static_cast<unsigned long long>(rep.containedFaults),
                  rep.containmentSurvivorsMatch ? "match clean run"
@@ -710,8 +744,8 @@ main(int argc, char **argv)
     }
     if (!rep.quick && rep.wdOverheadPct >= 2.0) {
         std::fprintf(stderr,
-                     "bench-report: FAIL: watchdog overhead %.2f%% "
-                     ">= 2%% (the watchdog must stay a branch and a "
+                     "bench-report: FAIL: median watchdog overhead "
+                     "%.2f%% >= 2%% (the watchdog must stay a branch and a "
                      "counter per event; see docs/robustness.md)\n",
                      rep.wdOverheadPct);
         return 1;
